@@ -242,6 +242,10 @@ def main():
         # the artifact (even to an explicit GRAFT_BENCH_OUT — a reused
         # command line must not clobber the repo-kept complete sweep);
         # the stdout line carries everything this mode measures
+        if os.environ.get("GRAFT_BENCH_OUT"):
+            print("bench: GRAFT_FLAGSHIP_ONLY is set, so GRAFT_BENCH_OUT="
+                  f"{os.environ['GRAFT_BENCH_OUT']} is not written",
+                  file=sys.stderr)
         bench_out = None
     else:
         bench_out = os.environ.get("GRAFT_BENCH_OUT") or os.path.join(

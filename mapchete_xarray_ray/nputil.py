@@ -5,21 +5,35 @@ from __future__ import annotations
 import numpy as np
 
 
+def segments(*keys: np.ndarray):
+    """Sort rows by ``keys`` (first key most significant, stable) and
+    find the runs of equal keys. Returns ``(order, starts, ends)``: run
+    ``i`` is rows ``order[starts[i]:ends[i]]``. Owns the sort/boundary-
+    mask idiom and its empty-input edge case once instead of per call
+    site; keys may be any sortable arrays, strings included."""
+    order = (np.argsort(keys[0], kind="stable") if len(keys) == 1
+             else np.lexsort(keys[::-1]))
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    ends = np.empty_like(starts)
+    ends[:-1], ends[-1:] = starts[1:], len(order)
+    return order, starts, ends
+
+
 def group_reduce(keys: np.ndarray, *pairs):
     """Vectorized group-by-reduce over sortable keys: each ``pairs``
     entry is ``(ufunc, values)`` (e.g. ``(np.add, x)``,
     ``(np.maximum, x)``). Returns
     ``(uniq_keys, reduced_0, reduced_1, ...)`` with ``uniq_keys``
-    ascending. Owns the sort/boundary-mask/reduceat idiom and its
-    empty-input edge case once instead of per call site."""
-    o = np.argsort(keys, kind="stable")
-    k = keys[o]
-    new = np.ones(len(k), dtype=bool)
-    new[1:] = k[1:] != k[:-1]
-    starts = np.flatnonzero(new)
-    outs = tuple(uf.reduceat(v[o], starts) if len(k) else v[:0]
+    ascending."""
+    o, starts, _ = segments(keys)
+    outs = tuple(uf.reduceat(v[o], starts) if len(o) else v[:0]
                  for uf, v in pairs)
-    return (k[starts],) + outs
+    return (keys[o[starts]],) + outs
 
 
 def group_sum(keys: np.ndarray, *vals: np.ndarray):

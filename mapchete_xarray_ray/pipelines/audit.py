@@ -7,8 +7,8 @@ multi-band writes that happened to leave a record, or an operator
 truncating a chunk file in place. The audit closes that gap: each tile
 is RE-READ and its crc32 re-derived from the actual chunk bytes, then
 compared to the checksum the writer recorded at write time
-(pipelines/flagship.py ``_tile_writer``; the round-4 per-partition
-metrics make the byte-count check free).
+(``pipelines/commit.py:finalize_tile``, the one commit step of every
+writer).
 
 Per-tile verdicts:
 
@@ -29,7 +29,10 @@ Per-tile verdicts:
   narrow path records its checksum over exactly the written slices),
   so a full-range mismatch is NOT evidence of corruption — the record
   simply cannot be re-derived. Distinct from ``checksum_mismatch`` so
-  operators are not told to recompute healthy tiles.
+  operators are not told to recompute healthy tiles. To make such a
+  tile verifiable, invalidate it and recompute it (``cli refresh``, or
+  ``cli invalidate`` + ``execute``): the rewrite commits a record with
+  ``time_idxs``, which every later audit re-derives exactly.
 
 Scale shape: same as the diff — no shuffle, the tile grid is the
 partitioning, each task re-reads a disjoint tile set and emits one
@@ -43,16 +46,13 @@ process path) and otherwise reports ``legacy_unverifiable``.
 
 from __future__ import annotations
 
-import lzma
-import zlib
-
-import numpy as np
 import pyarrow as pa
 import ray
 
 from mapchete_xarray_ray.grid import pack_tile_id
+from mapchete_xarray_ray.pipelines.commit import tile_checksum
 from mapchete_xarray_ray.scale import nblocks_for_cluster
-from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+from mapchete_xarray_ray.sinks.zarr import ChunkDecodeError, ZarrTileStore
 from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
 from mapchete_xarray_ray.state.lineage import read_records
 
@@ -100,11 +100,10 @@ def audit_archive_ds(path: str) -> ray.data.Dataset:
             # throttled GET (same split as pipelines/diff.py)
             try:
                 arr = st.read_tile(r, c, time_idxs=time_idxs)
-            except (ValueError, zlib.error, lzma.LZMAError):
+            except ChunkDecodeError:
                 status.append("unreadable")
                 continue
-            got = zlib.crc32(np.ascontiguousarray(arr).tobytes())
-            if got == int(checksum):
+            if tile_checksum(arr) == int(checksum):
                 status.append("ok")
             elif time_idxs is None and st.has_time:
                 # record predates time_idxs: its checksum may cover only

@@ -28,7 +28,7 @@ import ray
 
 from mapchete_xarray_ray.grid import pack_tile_id
 from mapchete_xarray_ray.scale import nblocks_for_cluster
-from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+from mapchete_xarray_ray.sinks.zarr import ChunkDecodeError, ZarrTileStore
 from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
 
 
@@ -65,16 +65,10 @@ def archive_diff_ds(cur_path: str, old_path: str) -> ray.data.Dataset:
             # a transient I/O error (object-store timeout/throttle)
             # must propagate so Ray retries the task, not be reported
             # as divergence that would invalidate and rewrite a healthy
-            # tile. (zlib/lzma raise their own error types; frombuffer
-            # size mismatch raises ValueError; bz2's OSError-on-garbage
-            # is not distinguishable from I/O, so a corrupt bz2 archive
-            # fails the diff loudly instead — bz2 is a non-default
-            # codec.)
-            import lzma
-            import zlib as _zlib
+            # tile.
             try:
                 return np.ascontiguousarray(store.read_tile(r, c)).tobytes()
-            except (ValueError, _zlib.error, lzma.LZMAError):
+            except ChunkDecodeError:
                 return None
 
         tid, chg = [], []

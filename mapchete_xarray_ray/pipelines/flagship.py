@@ -8,7 +8,7 @@ Shape (SURVEY.md §3 E1):
     -> map_batches(assign)                   # lon/lat + tile_id/cell_id
     -> map_batches(compact)                  # NARROW the shuffle rows
     -> [continue mode] filter out done tiles # broadcast done-set
-    -> groupby(tile_id).map_groups(write_tile)  # dedup+rasterize+sink
+    -> groupby(tile_id).map_groups(_tile_writer)  # dedup+rasterize+commit
     -> Dataset of per-tile summaries
 
 One tile = one group = one chunk file per band, so concurrent writers
@@ -28,8 +28,14 @@ Scale decisions measured at 2-4M pages (see BASELINE.md):
 
 :func:`run_pipeline_salted` is the explicit-skew variant (A5 hot-tile
 pre-count, url-hash salting that preserves exact dedup, associative
-partial-grid merge); it is row-identical to the straight path
-(tests/test_skew.py) and differs only in the physical plan.
+merge of sparse partial counts keyed by (time index, pixel)). It
+accepts every spec the straight path accepts, time-axis specs
+included, and is byte-identical to it — summaries, chunks and lineage
+records (tests/test_skew.py); it differs only in the physical plan.
+
+Both plans share one front end (:func:`_front_end`) and end every tile
+in :func:`~mapchete_xarray_ray.pipelines.commit.finalize_tile`; the
+writers here only build the tile tensor.
 
 A user ``process_fn(tile, pages, spec)`` (SURVEY §2.10) replaces the
 default count-rasterize per tile; its return value is normalized per
@@ -39,8 +45,6 @@ the reference's output_cleaned (2-D/3-D/4-D numpy, "empty" sentinel).
 from __future__ import annotations
 
 import os
-import time
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -51,11 +55,13 @@ from mapchete_xarray_ray.collect import arrow_block_refs
 
 from mapchete_xarray_ray.fixtures import DEFAULT_BOUNDS, DEFAULT_ZOOM, make_pages
 from mapchete_xarray_ray.grid import unpack_tile_id
+from mapchete_xarray_ray.nputil import group_sum, segments
+from mapchete_xarray_ray.pipelines.commit import finalize_tile, summary_table
 from mapchete_xarray_ray.spec import JobSpec
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 from mapchete_xarray_ray.stages.assign import assign_pages_fn
 from mapchete_xarray_ray.stages.text import extract_stage
-from mapchete_xarray_ray.state.lineage import completed_tiles, write_record
+from mapchete_xarray_ray.state.lineage import completed_tiles
 
 
 def default_spec(out_path: str, time: dict | None = None, **kw) -> JobSpec:
@@ -172,6 +178,12 @@ def _narrow_compact(spec: JobSpec):
     the shuffle row shape happens here exactly once."""
     from mapchete_xarray_ray.stages.rasterize import local_pixel_indices
 
+    if len(spec.band_names) != 3:
+        raise ValueError(
+            "the default process writes exactly 3 bands (count, en count, "
+            "long-text count); declare 3 band_names or pass a process_fn"
+        )
+
     def compact(batch: pa.Table) -> pa.Table:
         tl = pc.utf8_length(batch.column("text")).cast(pa.int64())
         iy, ix = local_pixel_indices(
@@ -205,140 +217,107 @@ def _process_compact(spec: JobSpec):
     return compact
 
 
+def _front_end(ds: ray.data.Dataset, spec: JobSpec, mode: str,
+               already_extracted: bool, compact) -> ray.data.Dataset:
+    """The front end both physical plans share: prepare the archive,
+    then extract -> assign -> compact -> [continue mode] drop the rows
+    of complete tiles before any shuffle."""
+    store = ZarrTileStore(spec)
+    store.prepare()
+    if not already_extracted:
+        ds = ds.map_batches(extract_stage, batch_format="pyarrow")
+    ds = ds.map_batches(
+        assign_pages_fn(spec.snapped_bounds, spec.zoom, spec.grid, spec.cell_zoom,
+                        pyramid=spec.pyramid),
+        batch_format="pyarrow",
+    )
+    # project rows down BEFORE the shuffle (SURVEY.md §7 hard part 6):
+    # text/html never enter the all-to-all exchange
+    ds = ds.map_batches(compact, batch_format="pyarrow")
+    if mode == "continue":
+        done = completed_tiles(store)
+        if done:
+            done_ref = ray.put(np.array(sorted(done), dtype=np.int64))
+
+            def drop_done(batch: pa.Table) -> pa.Table:
+                keep = ~np.isin(batch.column("tile_id").to_numpy(),
+                                ray.get(done_ref))
+                return batch.filter(pa.array(keep))
+
+            ds = ds.map_batches(drop_done, batch_format="pyarrow")
+    return ds
+
+
+def _first_crawls(tbl: pa.Table, *keys: str) -> pa.Table:
+    """Exact url dedup: the earliest crawl (by warc_ts) of each url
+    within each run of ``keys``. Every re-crawl of a url shares those
+    keys (the geocode key IS the url), so the dedup stays exact. Rows
+    come back sorted by (keys, url)."""
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("warc_ts", "ascending")]))
+    order, starts, _ = segments(*(tbl.column(k).to_numpy(zero_copy_only=False)
+                                  for k in (*keys, "url")))
+    return tbl.take(order[starts])
+
+
+def _narrow_rows(store: ZarrTileStore, tbl: pa.Table):
+    """Narrow rows -> (time index, flat pixel, (3, n) band counts). The
+    time index is the store's own mapping (0 without a time axis)."""
+    if store.has_time:
+        ts, inv = np.unique(tbl.column("warc_ts").to_numpy(zero_copy_only=False),
+                            return_inverse=True)
+        tidx = np.asarray(store.time_indices(ts), dtype=np.int64)[inv]
+    else:
+        tidx = np.zeros(tbl.num_rows, dtype=np.int64)
+    pix = tbl.column("pix").to_numpy(zero_copy_only=False).astype(np.int64)
+    counts = np.stack([np.ones(tbl.num_rows, dtype=np.int64)] + [
+        tbl.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+        for c in ("is_en", "long_text")])
+    return tidx, pix, counts
+
+
+def _count_tensor(store: ZarrTileStore, tidx, pix, counts):
+    """The default process: per-pixel (pages, English pages, long-text
+    pages) counts, clipped to the output dtype. Entries may repeat a
+    (time index, pixel) key — rows or salted partial sums alike — and
+    are summed. Returns the ``(3, h, w)`` tensor, or on a time-axis
+    archive the ``(3, T, h, w)`` tensor over the time slices present
+    plus their timestamps."""
+    spec, px = store.spec, store.chunk_px
+    present, tpos = np.unique(tidx, return_inverse=True)
+    # sum sparse, then scatter: only touched pixels are ever clipped
+    key, *sums = group_sum(tpos * (px * px) + pix, *counts)
+    info = np.iinfo(np.dtype(spec.dtype))
+    tensor = np.zeros((3, len(present) * px * px), dtype=spec.dtype)
+    tensor[:, key] = np.clip(sums, info.min, info.max)
+    tensor = tensor.reshape(3, len(present), px, px)
+    if not store.has_time:
+        return tensor[:, 0], None
+    return tensor, spec.timestamps[present]
+
+
 def _tile_writer(spec: JobSpec, process_fn=None):
-    """map_groups fn: one tile's pages -> process (default: count
-    rasterize) -> chunk write -> lineage. ``process_fn(tile, pages,
+    """map_groups fn: one tile's pages -> url dedup -> process (default:
+    count rasterize) -> :func:`finalize_tile`. ``process_fn(tile, pages,
     spec)`` is the user-extension hook (SURVEY.md §2.10); returning
     "empty" skips the tile (no chunk written — reference
     tests/test_driver.py:39-46 semantics)."""
 
-    _EMPTY_SUMMARY = pa.table({
-        "tile_id": pa.array([], pa.int64()),
-        "tile_row": pa.array([], pa.int64()),
-        "tile_col": pa.array([], pa.int64()),
-        "n_pages": pa.array([], pa.int64()),
-        "chunks_written": pa.array([], pa.int64()),
-        "checksum": pa.array([], pa.int64()),
-    })
-
     def fn(group: pa.Table) -> pa.Table:
-        # exact dedup per url (re-crawls co-locate here; keep first by warc_ts)
-        order = pc.sort_indices(
-            group, sort_keys=[("url", "ascending"), ("warc_ts", "ascending")]
-        )
-        group = group.take(order)
-        keep = np.ones(group.num_rows, dtype=bool)
-        urls = group.column("url").to_numpy(zero_copy_only=False)
-        keep[1:] = urls[1:] != urls[:-1]
-        group = group.filter(pa.array(keep))
-
-        tile_id = int(group.column("tile_id")[0].as_py())
-        zoom, row, col = (int(x) for x in unpack_tile_id(tile_id))
+        group = _first_crawls(group)
+        zoom, row, col = (int(x) for x in
+                          unpack_tile_id(group.column("tile_id")[0].as_py()))
         store = ZarrTileStore(spec)
-
-        if process_fn is not None:
+        if process_fn is None:
+            # masks and flat pixel index were precomputed BEFORE the
+            # shuffle (see _narrow_compact): no string/geo work here
+            tensor, timestamps = _count_tensor(store, *_narrow_rows(store, group))
+        else:
             data = process_fn(TileContext(spec, zoom, row, col), group, spec)
             if isinstance(data, str) and data == "empty":
-                return _EMPTY_SUMMARY
-            tensor = output_cleaned(data, spec)
-            w0 = time.perf_counter()
-            if tensor.ndim == 4:
-                # tiles reaching the writer have no valid lineage record
-                # (fresh / torn / invalidated) — never merge with the
-                # untrusted existing chunk bytes (repair semantics)
-                n_chunks = store.write_tile(row, col, tensor,
-                                            timestamps=spec.timestamps,
-                                            assume_fresh=True)
-            else:
-                n_chunks = store.write_tile(row, col, tensor)
-            write_ms = int((time.perf_counter() - w0) * 1000)
-            checksum = zlib.crc32(np.ascontiguousarray(tensor).tobytes())
-            rec = {
-                "tile_id": tile_id, "zoom": zoom, "tile_row": row,
-                "tile_col": col, "rows_in": group.num_rows,
-                "chunks_written": n_chunks, "checksum": int(checksum),
-                "metrics": {"write_ms": write_ms,
-                            "bytes": int(tensor.nbytes)},
-            }
-            if tensor.ndim == 4:
-                # full time coverage — record it, or the audit can only
-                # say legacy_unverifiable instead of catching real
-                # corruption on this tile
-                rec["time_idxs"] = list(range(len(spec.timestamps)))
-            write_record(spec.path, rec)
-            return pa.table({
-                "tile_id": pa.array([tile_id], pa.int64()),
-                "tile_row": pa.array([row], pa.int64()),
-                "tile_col": pa.array([col], pa.int64()),
-                "n_pages": pa.array([group.num_rows], pa.int64()),
-                "chunks_written": pa.array([n_chunks], pa.int64()),
-                "checksum": pa.array([int(checksum)], pa.int64()),
-            })
-
-        # narrow fast path: masks and flat pixel index were precomputed
-        # BEFORE the shuffle (see _compact_narrow), so the writer does
-        # three bincounts and the chunk write — no string/geo work here
-        pix = group.column("pix").to_numpy(zero_copy_only=False)
-        en = group.column("is_en").to_numpy(zero_copy_only=False)
-        lt = group.column("long_text").to_numpy(zero_copy_only=False)
-        npx = spec.chunk_px * spec.chunk_px
-
-        def grids(p, e, l):
-            g = np.zeros((3, npx), dtype=np.int64)
-            np.add.at(g[0], p, 1)
-            np.add.at(g[1], p[e], 1)
-            np.add.at(g[2], p[l], 1)
-            info = np.iinfo(np.dtype(spec.dtype))
-            return (g.reshape(3, spec.chunk_px, spec.chunk_px)
-                     .clip(info.min, info.max).astype(spec.dtype))
-
-        # build first, then time ONLY the store write: "write_ms" must
-        # mean the same thing in every record (a compute-skewed tile is
-        # identifiable from rows_in/bytes; a slow STORE from write_ms)
-        time_idxs = None
-        if spec.time is not None:
-            ts = group.column("warc_ts").to_numpy(zero_copy_only=False)
-            uniq = np.array(sorted(set(ts.tolist())), dtype="datetime64[us]")
-            per_t = [grids(pix[ts == t], en[ts == t], lt[ts == t]) for t in uniq]
-            written_arr = np.stack(per_t, axis=1)  # (bands, T, h, w)
-            # positions written into the archive's time coordinate —
-            # recorded in lineage so the audit (pipelines/audit.py) can
-            # re-read EXACTLY the written slices and re-derive the crc;
-            # the STORE's mapping, so record and write cannot diverge
-            time_idxs = store.time_indices(uniq)
-            w0 = time.perf_counter()
-            n_chunks = store.write_tile(row, col, written_arr,
-                                        timestamps=uniq, assume_fresh=True)
-        else:
-            written_arr = grids(pix, en, lt)
-            w0 = time.perf_counter()
-            n_chunks = store.write_tile(row, col, written_arr)
-        write_ms = int((time.perf_counter() - w0) * 1000)
-
-        checksum = zlib.crc32(np.ascontiguousarray(written_arr).tobytes())
-        from mapchete_xarray_ray.grid import cell_encode
-
-        tile_cell = int(cell_encode(np.array([row]), np.array([col]),
-                                    spec.zoom).astype(np.int64)[0])
-        rec = {
-            "tile_id": tile_id, "zoom": zoom, "tile_row": row, "tile_col": col,
-            "rows_in": group.num_rows, "chunks_written": n_chunks,
-            "checksum": int(checksum),
-            "cell_range": [tile_cell, tile_cell],
-            "metrics": {"write_ms": write_ms,
-                        "bytes": int(written_arr.nbytes)},
-        }
-        if time_idxs is not None:
-            rec["time_idxs"] = time_idxs
-        write_record(spec.path, rec)
-        return pa.table({
-            "tile_id": pa.array([tile_id], pa.int64()),
-            "tile_row": pa.array([row], pa.int64()),
-            "tile_col": pa.array([col], pa.int64()),
-            "n_pages": pa.array([group.num_rows], pa.int64()),
-            "chunks_written": pa.array([n_chunks], pa.int64()),
-            "checksum": pa.array([int(checksum)], pa.int64()),
-        })
+                return summary_table([])
+            tensor, timestamps = output_cleaned(data, spec), None
+        return summary_table([finalize_tile(store, row, col, tensor,
+                                            group.num_rows, timestamps)])
 
     return fn
 
@@ -356,44 +335,13 @@ def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
     (when the caller already sized blocks, e.g. via
     ``read_parquet(override_num_blocks=...)``, skipping avoids the
     repartition barrier entirely)."""
-    if process_fn is None and len(spec.band_names) != 3:
-        raise ValueError(
-            "the default process writes exactly 3 bands (count, en count, "
-            "long-text count); declare 3 band_names or pass a process_fn"
-        )
-    store = ZarrTileStore(spec)
-    store.prepare()
-
-    if not already_extracted:
-        ds = ds.map_batches(extract_stage, batch_format="pyarrow")
-    ds = ds.map_batches(
-        assign_pages_fn(spec.snapped_bounds, spec.zoom, spec.grid, spec.cell_zoom,
-                        pyramid=spec.pyramid),
-        batch_format="pyarrow",
-    )
-
-    # project rows down BEFORE the shuffle (SURVEY.md §7 hard part 6):
-    # text/html never enter the all-to-all exchange. The default path
-    # goes further and precomputes everything the writer needs — band
+    # the default path precomputes everything the writer needs — band
     # masks as bools and the flat local pixel index — so a shuffled row
     # is (url, warc_ts, 2 bools, tile_id, pix:int32): measured 2x faster
     # end-to-end than shipping lon/lat/lang/text_len at 2M pages.
     compact = (_process_compact(spec) if process_fn is not None
                else _narrow_compact(spec))
-    ds = ds.map_batches(compact, batch_format="pyarrow")
-
-    if mode == "continue":
-        done = completed_tiles(store)
-        if done:
-            done_ref = ray.put(np.array(sorted(done), dtype=np.int64))
-
-            def drop_done(batch: pa.Table) -> pa.Table:
-                done_arr = ray.get(done_ref)
-                tid = batch.column("tile_id").to_numpy()
-                keep = ~np.isin(tid, done_arr)
-                return batch.filter(pa.array(keep))
-
-            ds = ds.map_batches(drop_done, batch_format="pyarrow")
+    ds = _front_end(ds, spec, mode, already_extracted, compact)
 
     # consolidate blocks before the groupby shuffle: the sort's cost is
     # dominated by per-block overhead (S blocks -> S^2 shuffle objects);
@@ -411,67 +359,34 @@ def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
 
 
 def _salted_partial_writer(spec: JobSpec):
-    """map_groups fn over a BUCKET of (tile_id, salt) segments:
-    vectorized dedup-by-url + partial rasterize per segment; emits one
-    row per segment carrying its partial grid as int32 bytes.
+    """map_groups fn over a BUCKET of (tile_id, salt) segments: exact
+    url dedup + partial count per segment; emits one row per segment
+    carrying its partial as SPARSE int64 ``(4, nnz)`` rows [key; pages;
+    en; long] with key = time index * h*w + pixel, the time index being
+    the store's own mapping — so partials of one tile merge by key.
 
     Salt = stable_hash(url) % n_salt, so every re-crawl of a url lands
     in the SAME (tile, salt) segment — first-by-warc_ts dedup stays
     exact under salting. Grouping by a coarse bucket (not per segment)
     keeps Ray's per-group call overhead off the critical path when MANY
     tiles are hot (measured 252s -> seconds at 8192 all-hot segments).
+    A partial touches ~rows/n_salt pixels of the tile, so the sparse
+    form is orders of magnitude lighter than the dense tensor.
     """
 
     def fn(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[
-            ("tile_id", "ascending"), ("salt", "ascending"),
-            ("url", "ascending"), ("warc_ts", "ascending")])
-        group = group.take(order)
+        group = _first_crawls(group, "tile_id", "salt")
+        store = ZarrTileStore(spec)
+        tidx, pix, counts = _narrow_rows(store, group)
+        key = tidx * (spec.chunk_px * spec.chunk_px) + pix
         tid = group.column("tile_id").to_numpy(zero_copy_only=False)
-        salt = group.column("salt").to_numpy(zero_copy_only=False)
-        urls = group.column("url").to_numpy(zero_copy_only=False)
-        keep = np.ones(group.num_rows, dtype=bool)
-        keep[1:] = ((tid[1:] != tid[:-1]) | (salt[1:] != salt[:-1])
-                    | (urls[1:] != urls[:-1]))
-        group = group.filter(pa.array(keep))
-        tid = group.column("tile_id").to_numpy(zero_copy_only=False)
-        salt = group.column("salt").to_numpy(zero_copy_only=False)
-        pix = group.column("pix").to_numpy(zero_copy_only=False).astype(np.int64)
-        en = group.column("is_en").to_numpy(zero_copy_only=False)
-        lt = group.column("long_text").to_numpy(zero_copy_only=False)
-
-        new_seg = np.ones(len(tid), dtype=bool)
-        new_seg[1:] = (tid[1:] != tid[:-1]) | (salt[1:] != salt[:-1])
-        seg_idx = np.cumsum(new_seg) - 1
-        starts = np.flatnonzero(new_seg)
-        lens = np.diff(np.append(starts, len(tid)))
-        n_segs = len(starts)
-        npx = spec.chunk_px * spec.chunk_px
-        # flat (segment, band, pixel) accumulation — three add.at calls
-        # total for the whole bucket, regardless of segment count
-        grids = np.zeros((n_segs, 3, npx), dtype=np.int32)
-        flat = grids.reshape(-1)
-        base = seg_idx * (3 * npx)
-        np.add.at(flat, base + pix, 1)
-        np.add.at(flat, base[en] + npx + pix[en], 1)
-        np.add.at(flat, base[lt] + 2 * npx + pix[lt], 1)
-        # SPARSE partial encoding: a salted partial touches ~rows/n_salt
-        # pixels of the 65k grid, so shipping (pix, c0, c1, c2) rows is
-        # orders of magnitude lighter than the dense tensor (the dense
-        # all-hot case moved GBs through the merge shuffle). Format:
-        # int32 array [nnz, pix..., c0..., c1..., c2...].
-        bufs = []
-        for i in range(n_segs):
-            nz = np.flatnonzero(grids[i].any(axis=0))
-            rec = np.concatenate([
-                np.array([len(nz)], dtype=np.int32),
-                nz.astype(np.int32),
-                grids[i, 0, nz], grids[i, 1, nz], grids[i, 2, nz],
-            ])
-            bufs.append(rec.tobytes())
+        _, starts, ends = segments(
+            tid, group.column("salt").to_numpy(zero_copy_only=False))
+        bufs = [np.stack(group_sum(key[s:e], *counts[:, s:e])).tobytes()
+                for s, e in zip(starts, ends)]
         return pa.table({
             "tile_id": pa.array(tid[starts], pa.int64()),
-            "n_pages": pa.array(lens.astype(np.int64)),
+            "n_pages": pa.array((ends - starts).astype(np.int64)),
             "grid": pa.array(bufs, pa.large_binary()),
         })
 
@@ -479,57 +394,31 @@ def _salted_partial_writer(spec: JobSpec):
 
 
 def _salted_merge_writer(spec: JobSpec):
-    """map_groups fn over a BUCKET of tiles: '+'-merge each tile's
-    salted partial grids, clip to the output dtype, write chunk +
-    lineage per tile. The python loop per tile does real IO work, so
-    the coarse bucket only amortizes Ray's per-group dispatch."""
+    """map_groups fn over a BUCKET of tiles: sum each tile's salted
+    partials into the same tensor the straight plan builds and commit
+    it through :func:`finalize_tile`. The python loop per tile does
+    real IO work, so the coarse bucket only amortizes Ray's per-group
+    dispatch."""
 
     def fn(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[("tile_id", "ascending")])
-        group = group.take(order)
         tid = group.column("tile_id").to_numpy(zero_copy_only=False)
-        n_pages_col = group.column("n_pages").to_numpy(zero_copy_only=False)
+        n_pages = group.column("n_pages").to_numpy(zero_copy_only=False)
         bufs = group.column("grid").to_pylist()
-        h = w = spec.chunk_px
-        info = np.iinfo(np.dtype(spec.dtype))
         store = ZarrTileStore(spec)
-        new_seg = np.ones(len(tid), dtype=bool)
-        new_seg[1:] = tid[1:] != tid[:-1]
-        starts = np.flatnonzero(new_seg)
-        lens = np.diff(np.append(starts, len(tid)))
-        out = {"tile_id": [], "tile_row": [], "tile_col": [], "n_pages": [],
-               "chunks_written": [], "checksum": []}
-        for s, L in zip(starts, lens):
-            tile_id = int(tid[s])
-            zoom, row, col = (int(x) for x in unpack_tile_id(tile_id))
-            total = np.zeros((3, h * w), dtype=np.int64)
-            for j in range(s, s + L):
-                rec = np.frombuffer(bufs[j], dtype=np.int32)
-                nnz = int(rec[0])
-                nz = rec[1:1 + nnz]
-                for b in range(3):
-                    np.add.at(total[b], nz, rec[1 + nnz * (b + 1):1 + nnz * (b + 2)])
-            total = total.reshape(3, h, w)
-            tensor = total.clip(info.min, info.max).astype(spec.dtype)
-            w0 = time.perf_counter()
-            n_chunks = store.write_tile(row, col, tensor)
-            write_ms = int((time.perf_counter() - w0) * 1000)
-            checksum = zlib.crc32(np.ascontiguousarray(tensor).tobytes())
-            n_pages = int(n_pages_col[s:s + L].sum())
-            write_record(spec.path, {
-                "tile_id": tile_id, "zoom": zoom, "tile_row": row,
-                "tile_col": col, "rows_in": n_pages, "chunks_written": n_chunks,
-                "checksum": int(checksum), "salted_partials": int(L),
-                "metrics": {"write_ms": write_ms,
-                            "bytes": int(tensor.nbytes)},
-            })
-            out["tile_id"].append(tile_id)
-            out["tile_row"].append(row)
-            out["tile_col"].append(col)
-            out["n_pages"].append(n_pages)
-            out["chunks_written"].append(n_chunks)
-            out["checksum"].append(int(checksum))
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
+        npx = spec.chunk_px * spec.chunk_px
+        order, starts, ends = segments(tid)
+        rows = []
+        for s, e in zip(starts, ends):
+            idx = order[s:e]
+            part = np.concatenate([np.frombuffer(bufs[j], dtype=np.int64)
+                                   .reshape(4, -1) for j in idx], axis=1)
+            tensor, timestamps = _count_tensor(store, part[0] // npx,
+                                               part[0] % npx, part[1:])
+            _z, row, col = unpack_tile_id(tid[idx[0]])
+            rows.append(finalize_tile(store, row, col, tensor,
+                                      n_pages[idx].sum(), timestamps,
+                                      salted_partials=len(idx)))
+        return summary_table(rows)
 
     return fn
 
@@ -540,8 +429,8 @@ def run_pipeline_salted(ds: ray.data.Dataset, spec: JobSpec,
                         already_extracted: bool = False) -> ray.data.Dataset:
     """E1 with explicit skew handling (SURVEY.md §4 skew row, A5):
 
-    1. extract/assign/compact as in :func:`run_pipeline`, then
-       ``materialize()`` the narrow projection (it is re-read twice);
+    1. the front end of :func:`run_pipeline`, then ``materialize()``
+       the narrow projection (it is re-read twice);
     2. A5 pre-count rows per tile with a partial-then-small ``groupby``;
        tiles above ``hot_threshold`` are HOT (driver holds only the
        per-tile counts — tiny);
@@ -549,37 +438,16 @@ def run_pipeline_salted(ds: ray.data.Dataset, spec: JobSpec,
        tiles salt 0) and the expensive dedup+rasterize group work runs
        per (tile_id, salt) — a hot tile is processed by ``n_salt``
        parallel tasks instead of one straggler;
-    4. the per-tile merge ('+' of partial count grids) moves only
-       ``n_salt`` small grid payloads per tile, then writes chunk +
-       lineage exactly once per tile.
+    4. the per-tile merge ('+' of sparse partial counts keyed by (time
+       index, pixel)) moves only ``n_salt`` small payloads per tile,
+       then commits each tile exactly once.
 
-    Output is row-identical to :func:`run_pipeline` (asserted in
-    tests/test_skew.py) — salting changes the physical plan only.
+    Output — summaries, chunk bytes and lineage checksums/time_idxs —
+    is identical to :func:`run_pipeline` (asserted in
+    tests/test_skew.py), time-axis specs included: salting changes the
+    physical plan only.
     """
-    store = ZarrTileStore(spec)
-    store.prepare()
-
-    if not already_extracted:
-        ds = ds.map_batches(extract_stage, batch_format="pyarrow")
-    ds = ds.map_batches(
-        assign_pages_fn(spec.snapped_bounds, spec.zoom, spec.grid, spec.cell_zoom,
-                        pyramid=spec.pyramid),
-        batch_format="pyarrow",
-    )
-    ds = ds.map_batches(_narrow_compact(spec), batch_format="pyarrow")
-
-    if mode == "continue":
-        done = completed_tiles(store)
-        if done:
-            done_ref = ray.put(np.array(sorted(done), dtype=np.int64))
-
-            def drop_done(batch: pa.Table) -> pa.Table:
-                keep = ~np.isin(batch.column("tile_id").to_numpy(),
-                                ray.get(done_ref))
-                return batch.filter(pa.array(keep))
-
-            ds = ds.map_batches(drop_done, batch_format="pyarrow")
-
+    ds = _front_end(ds, spec, mode, already_extracted, _narrow_compact(spec))
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     ds = ds.repartition(max(8, ncpu * 3)).materialize()
 

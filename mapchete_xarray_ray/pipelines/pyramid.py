@@ -11,15 +11,14 @@ grid itself is the partitioning, each task's read set is disjoint.
 
 from __future__ import annotations
 
-import time
 import uuid
-import zlib
 
 import numpy as np
 import pyarrow as pa
 import ray
 
 from mapchete_xarray_ray.grid import pack_tile_id
+from mapchete_xarray_ray.pipelines.commit import finalize_tile, summary_table
 from mapchete_xarray_ray.spec import JobSpec
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 from mapchete_xarray_ray.sources.zarr_input import (
@@ -29,7 +28,7 @@ from mapchete_xarray_ray.sources.zarr_input import (
     read_window,
     spec_from_archive,
 )
-from mapchete_xarray_ray.state.lineage import completed_tiles, write_record
+from mapchete_xarray_ray.state.lineage import completed_tiles
 
 
 def _downsample2(arr: np.ndarray, how: str = "sum", nodata=0) -> np.ndarray:
@@ -77,7 +76,7 @@ class PyramidReducer:
         self.how = how
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"tile_id": [], "tile_row": [], "tile_col": [], "checksum": []}
+        rows = []
         for r, c in zip(batch.column("tile_row").to_pylist(),
                         batch.column("tile_col").to_pylist()):
             tb = self.out_spec.pyramid.tile_bounds(self.out_spec.zoom, r, c)
@@ -86,42 +85,13 @@ class PyramidReducer:
                 _downsample2(window, self.how, nodata=self.in_spec.nodata),
                 self.out_spec.dtype,
             )
-            # time only the store write (same "write_ms" meaning as the
-            # flagship records — reads/downsample are not write cost)
-            w0 = time.perf_counter()
-            time_idxs = None
-            if self.in_store.has_time:
-                ts = self.in_spec.timestamps
-                # the overview covers the FULL time coordinate and the
-                # tile is being (re)derived from the child level, so the
-                # existing chunk bytes are never merge-worthy: rebuild
-                # from fill (repair semantics, same as the flagship
-                # writer) and record the coverage so the audit can
-                # re-derive the crc instead of calling it legacy
-                self.out_store.write_tile(r, c, tensor, timestamps=ts,
-                                          assume_fresh=True)
-                time_idxs = list(range(len(ts)))
-            else:
-                self.out_store.write_tile(r, c, tensor)
-            write_ms = int((time.perf_counter() - w0) * 1000)
-            checksum = zlib.crc32(np.ascontiguousarray(tensor).tobytes())
-            rec = {
-                "tile_id": int(pack_tile_id(self.out_spec.zoom, r, c)),
-                "zoom": self.out_spec.zoom, "tile_row": r, "tile_col": c,
-                "rows_in": 0, "chunks_written": len(self.out_spec.band_names),
-                "checksum": int(checksum),
-                "input_fragments": [f"{self.in_spec.path}@z{self.in_spec.zoom}"],
-                "metrics": {"write_ms": write_ms,
-                            "bytes": int(tensor.nbytes)},
-            }
-            if time_idxs is not None:
-                rec["time_idxs"] = time_idxs
-            write_record(self.out_spec.path, rec)
-            out["tile_id"].append(int(pack_tile_id(self.out_spec.zoom, r, c)))
-            out["tile_row"].append(r)
-            out["tile_col"].append(c)
-            out["checksum"].append(int(checksum))
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
+            # an overview covers the FULL time coordinate and is derived
+            # from the child level, so finalize_tile's fresh rebuild and
+            # full-range time_idxs are exactly right
+            rows.append(finalize_tile(
+                self.out_store, r, c, tensor, 0,
+                input_fragments=[f"{self.in_spec.path}@z{self.in_spec.zoom}"]))
+        return summary_table(rows)
 
 
 def run_pyramid_step(in_path: str, out_path: str, how: str = "sum",

@@ -19,7 +19,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from mapchete_xarray_ray.nputil import group_sum, sorted_lookup
+from mapchete_xarray_ray.nputil import (group_reduce, group_sum, segments,
+                                        sorted_lookup)
 from mapchete_xarray_ray.scale import nblocks_for_cluster
 from mapchete_xarray_ray.stages.assign import assign_doc_ids_fn
 
@@ -498,13 +499,9 @@ def q_customer_order_profile(sf_dir: str):
         cnt = group.column("n_orders").to_numpy(zero_copy_only=False)
         cents = group.column("total_cents").to_numpy(zero_copy_only=False)
         ok, oc, ot = key[~isc], cnt[~isc], cents[~isc]
-        order = np.argsort(ok, kind="stable")
+        order, starts, ends = segments(ok)
         ok, oc, ot = ok[order], oc[order], ot[order]
-        new = np.ones(len(ok), dtype=bool)
-        new[1:] = ok[1:] != ok[:-1]
-        starts = np.flatnonzero(new)
         uk = ok[starts]
-        ends = np.append(starts[1:], len(ok))
         cum_c = np.concatenate(([0], np.cumsum(oc)))
         cum_t = np.concatenate(([0], np.cumsum(ot)))
         sum_c = cum_c[ends] - cum_c[starts]
@@ -2329,29 +2326,15 @@ def q_events_late(sf_dir: str):
         e = batch.column("event_id").to_numpy(zero_copy_only=False)
         t = batch.column("ts").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
-        rb = (t + jitter(e)) // RANGE_US
-        order = np.argsort(rb, kind="stable")
-        rb_s, t_s = rb[order], t[order]
-        new = np.ones(len(rb_s), dtype=bool)
-        new[1:] = rb_s[1:] != rb_s[:-1]
-        starts = np.flatnonzero(new)
-        mx = np.maximum.reduceat(t_s, starts) if len(t_s) else t_s
-        return pa.table({"rb": pa.array(rb_s[starts], pa.int64()),
+        rb, mx = group_reduce((t + jitter(e)) // RANGE_US, (np.maximum, t))
+        return pa.table({"rb": pa.array(rb, pa.int64()),
                          "mx": pa.array(mx, pa.int64())})
 
     part = collect_table(ev.map_batches(range_max,
                                         batch_format="pyarrow"))
-    rb = part.column("rb").to_numpy(zero_copy_only=False)
-    mx = part.column("mx").to_numpy(zero_copy_only=False)
-    order = np.argsort(rb, kind="stable")
-    rb, mx = rb[order], mx[order]
-    new = np.ones(len(rb), dtype=bool)
-    if len(rb):
-        new[1:] = rb[1:] != rb[:-1]
-    starts = np.flatnonzero(new)
-    uniq_rb = rb[starts]
-    per_range = (np.maximum.reduceat(mx, starts)
-                 if len(mx) else np.empty(0, np.int64))
+    uniq_rb, per_range = group_reduce(
+        part.column("rb").to_numpy(zero_copy_only=False),
+        (np.maximum, part.column("mx").to_numpy(zero_copy_only=False)))
     # exclusive prefix max across present ranges
     prefix = np.concatenate((
         [NEG], np.maximum.accumulate(per_range)[:-1])) \
@@ -3943,7 +3926,7 @@ GROUP BY o_orderkey, o_orderpriority
 
 def _tile_write_bucket(spec_ref, per_tile):
     """map_groups factory shared by the store roundtrips: segment one
-    tile-hash bucket by tile_id (stable argsort + flatnonzero) and call
+    tile-hash bucket by tile_id (``nputil.segments``) and call
     ``per_tile(store, spec, row, col, segment)`` once per tile — one
     python dispatch per BUCKET, chunk ownership preserved (a tile's
     rows live wholly in one bucket). Emits the written (row, col)
@@ -3956,14 +3939,9 @@ def _tile_write_bucket(spec_ref, per_tile):
                              "tile_col": pa.array([], pa.int64())})
         sp = ray.get(spec_ref)
         store = ZarrTileStore(sp)
-        tid = group.column("tile_id").to_numpy(zero_copy_only=False)
-        o = np.argsort(tid, kind="stable")
+        o, starts, ends = segments(
+            group.column("tile_id").to_numpy(zero_copy_only=False))
         group = group.take(pa.array(o))
-        tid = tid[o]
-        new = np.ones(len(tid), dtype=bool)
-        new[1:] = tid[1:] != tid[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(tid))
         out_r, out_c = [], []
         for st, en in zip(starts, ends):
             seg = group.slice(st, en - st)
@@ -6505,8 +6483,6 @@ def q_repetition(sf_dir: str):
         counts = (pa.table({"doc_id": d, "gram": grams})
                   .group_by(["doc_id", "gram"])
                   .aggregate([([], "count_all")]))
-        from mapchete_xarray_ray.nputil import group_reduce
-
         dids = counts.column("doc_id").to_numpy(zero_copy_only=False)
         cnt = counts.column("count_all").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -6737,13 +6713,9 @@ def q_tfidf_topk(sf_dir: str):
                              for n, t in EMPTY_SC.items()})
         terms = g.column("term").to_numpy(zero_copy_only=False)
         tf = g.column("tf").to_numpy(zero_copy_only=False)
-        order = np.argsort(terms, kind="stable")
-        t_s = terms[order]
-        new = np.ones(len(t_s), dtype=bool)
-        new[1:] = t_s[1:] != t_s[:-1]
-        starts = np.flatnonzero(new)
-        seg = np.diff(np.append(starts, len(t_s)))
-        df = np.empty(len(t_s), dtype=np.int64)
+        order, starts, ends = segments(terms)
+        seg = ends - starts
+        df = np.empty(len(terms), dtype=np.int64)
         df[order] = np.repeat(seg, seg)
         uniq = np.unique(df)
         lnmap = np.array([math.log(n_docs / int(v)) for v in uniq])

@@ -272,17 +272,29 @@ def read_meta_json(path: str, key: str,
     return None
 
 
+class ChunkDecodeError(ValueError):
+    """A chunk's bytes do not decode into its declared shape (truncated
+    write, bit rot, foreign garbage). The one type every codec's decode
+    failure maps to, so callers split "divergent chunk" from transient
+    I/O errors with one ``except`` on every codec."""
+
+
 def _decode_chunk(buf: bytes, shape, dtype,
                   compressor: tuple[str, int] | None) -> np.ndarray:
-    if compressor is not None:
-        codec = compressor[0]
-        if codec == "zlib":
-            buf = zlib.decompress(buf)
-        elif codec == "bz2":
-            buf = bz2.decompress(buf)
-        else:
-            buf = lzma.decompress(buf, format=lzma.FORMAT_XZ)
-    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+    # only in-memory work happens here, so every error below is a decode
+    # error (bz2 reports garbage as a plain OSError)
+    try:
+        if compressor is not None:
+            codec = compressor[0]
+            if codec == "zlib":
+                buf = zlib.decompress(buf)
+            elif codec == "bz2":
+                buf = bz2.decompress(buf)
+            else:
+                buf = lzma.decompress(buf, format=lzma.FORMAT_XZ)
+        return np.frombuffer(buf, dtype=dtype).reshape(shape)
+    except (ValueError, OSError, EOFError, zlib.error, lzma.LZMAError) as ex:
+        raise ChunkDecodeError(f"chunk does not decode: {ex!r}") from ex
 
 
 class ZarrTileStore:
@@ -313,6 +325,9 @@ class ZarrTileStore:
         # matches the reference layout (s2_stack.zarr: shape [5,...],
         # chunks [8,...]), so reference-written chunk files decode here
         self.time_chunk = spec.time_chunksize if self.has_time else 0
+        # time coordinate -> position (first one on duplicate steps)
+        self._time_pos = ({t: i for i, t in reversed(list(enumerate(
+            spec.timestamps.tolist())))} if self.has_time else {})
         self._layout_synced = False
         self._cmeta: dict | None = None
         self._cmeta_loaded = False
@@ -501,14 +516,13 @@ class ZarrTileStore:
         records must use this same method for their ``time_idxs`` so
         the audit re-reads exactly what was written (a second copy of
         this logic could silently diverge)."""
-        coord = list(self.spec.timestamps)
-        idxs = []
-        for t in np.array(timestamps, dtype="datetime64[us]"):
-            if t not in coord:
-                raise ValueError(
-                    f"time slice {t} not available to insert: {coord}")
-            idxs.append(coord.index(t))
-        return idxs
+        try:
+            return [self._time_pos[t] for t in
+                    np.asarray(timestamps, "datetime64[us]").tolist()]
+        except KeyError as ex:
+            raise ValueError(
+                f"time slice {ex.args[0]} not available in archive time "
+                f"coordinate: {list(self.spec.timestamps)}") from None
 
     def chunk_files(self, band: str, crow: int, ccol: int) -> list[str]:
         self._sync_time_chunk()
@@ -603,8 +617,8 @@ class ZarrTileStore:
                         chunk = _decode_chunk(
                             buf, (tc, self.chunk_px, self.chunk_px), dt,
                             self.compressor).copy()
-                    except Exception as ex:
-                        raise ValueError(
+                    except ChunkDecodeError as ex:
+                        raise ChunkDecodeError(
                             f"existing time chunk {fname} is undecodable "
                             f"({ex!r}); run `cli verify` + `cli invalidate` "
                             "(or refresh) to rebuild it from input"
@@ -714,17 +728,7 @@ class ZarrTileStore:
             return None
         coord = self.spec.timestamps
         if timestamps is not None:
-            wanted = np.array(timestamps, dtype="datetime64[us]")
-            out = []
-            for t in wanted:
-                hit = np.where(coord == t)[0]
-                if len(hit) == 0:
-                    raise ValueError(
-                        f"time slice {t} not available in archive time "
-                        f"coordinate: {list(coord)}"
-                    )
-                out.append(int(hit[0]))
-            return out
+            return self.time_indices(timestamps)
         if start_time is not None or end_time is not None:
             lo = np.datetime64(start_time, "us") if start_time is not None else coord[0]
             hi = np.datetime64(end_time, "us") if end_time is not None else coord[-1]

@@ -3,10 +3,19 @@
 The reference's resume unit is "chunk file exists" (mapchete_xarray/
 _output.py:299-328). At 100 TB that is necessary but not sufficient —
 a task can die between writing band chunks. So every tile-partition
-write ends with a lineage record written LAST (atomic rename):
+write ends with a lineage record written LAST (atomic rename). Every
+writer commits through ``pipelines/commit.py:finalize_tile``, so every
+record has one schema:
 
-    {tile_id, zoom, tile_row, tile_col, rows_in, chunks_written,
-     checksum, input_fragments, cell_range}
+    {tile_id, zoom, tile_row, tile_col,
+     rows_in,          # input rows after url dedup (0 for overviews)
+     chunks_written,   # chunk files written: bands x time chunks
+     checksum,         # crc32 of the written tile tensor
+     cell_range,       # [first, last] cell id the tile covers
+     metrics: {write_ms, bytes},  # store-write time, tensor bytes
+     time_idxs,        # time-axis archives only: the written slices
+     salted_partials,  # optional: partials merged (salted plan)
+     input_fragments}  # optional: source level (pyramid overviews)
 
 A tile is *complete* iff its chunks exist AND its lineage record
 exists; `completed_tiles()` is the resume filter. A chunk without a
@@ -23,7 +32,8 @@ from __future__ import annotations
 import json
 import os
 
-from mapchete_xarray_ray.sinks.zarr import _get_bytes, _listdir, _put_json
+from mapchete_xarray_ray.sinks.zarr import (_delete_bytes, _get_bytes,
+                                           _listdir, _put_json)
 
 
 def lineage_dir(archive_path: str) -> str:
@@ -73,19 +83,6 @@ def completed_tiles(store) -> set[int]:
     return done
 
 
-def _rm(path: str) -> None:
-    from mapchete_xarray_ray.sinks.zarr import _is_remote
-
-    if _is_remote(path):
-        from mapchete_xarray_ray.sinks.zarr import _fs
-
-        fs = _fs(path)
-        if fs.exists(path):
-            fs.rm(path)
-    elif os.path.exists(path):
-        os.unlink(path)
-
-
 def invalidate_tiles(archive_path: str, tiles) -> int:
     """Drop the lineage records of ``tiles`` ((zoom, row, col) triples)
     so a continue-mode run re-derives exactly them — the write half of
@@ -100,6 +97,6 @@ def invalidate_tiles(archive_path: str, tiles) -> int:
     for zoom, row, col in tiles:
         key = (int(zoom), int(row), int(col))
         if key in existing:
-            _rm(record_path(archive_path, *key))
+            _delete_bytes(record_path(archive_path, *key))
             n += 1
     return n

@@ -166,6 +166,34 @@ def test_audit_legacy_time_record_is_inconclusive_not_corrupt(tmp_path):
     assert [victim[0], victim[1], "legacy_unverifiable"] in res["bad"]
 
 
+def test_corrupt_bz2_chunk_is_unreadable_and_changed(tmp_path):
+    # bz2 reports garbage as a plain OSError; the store maps every
+    # codec's decode failure to one ChunkDecodeError, so a corrupt bz2
+    # chunk is one bad tile, not a failed audit or diff
+    import shutil
+
+    from mapchete_xarray_ray.pipelines.diff import archive_diff_ds
+
+    spec = default_spec(str(tmp_path / "out.zarr"), compression="bz2")
+    collect_table(run_pipeline(ray.data.from_arrow(make_pages(n=200)), spec))
+    prev = str(tmp_path / "prev.zarr")
+    shutil.copytree(spec.path, prev)
+    path, fn = _first_chunk(spec)
+    row0, _r1, col0, _c1 = spec.tile_range()
+    r, c = (int(x) for x in fn.split("."))
+    victim = [r + row0, c + col0]
+    open(path, "wb").write(b"\x00garbage")
+
+    res = audit_summary(spec.path)
+    assert res["counts"]["unreadable"] == 1
+    assert res["bad"] == [victim + ["unreadable"]]
+    diff = collect_table(archive_diff_ds(spec.path, prev))
+    changed = [[r_, c_] for r_, c_, ch in zip(
+        *(diff.column(k).to_pylist() for k in ("tile_row", "tile_col",
+                                               "changed"))) if ch]
+    assert changed == [victim]
+
+
 def test_cli_verify(tmp_path, capsys):
     spec = _build(tmp_path, n=200)
     cli.main(["verify", spec.path])

@@ -49,3 +49,17 @@ def test_group_reduce_mixed_ufuncs():
     uk, mx = group_reduce(np.empty(0, np.int64),
                           (np.maximum, np.empty(0, np.int64)))
     assert len(uk) == 0 and len(mx) == 0
+
+
+def test_segments_multi_key_and_empty():
+    from mapchete_xarray_ray.nputil import segments
+
+    urls = np.array(["b", "a", "b", "a", "c"], dtype=object)
+    ts = np.array([2, 1, 1, 1, 0])
+    order, starts, ends = segments(urls, ts)
+    runs = [[(urls[i], ts[i]) for i in order[s:e]] for s, e in zip(starts, ends)]
+    # sorted by (url, ts); equal keys stay in input order (stable)
+    assert runs == [[("a", 1), ("a", 1)], [("b", 1)], [("b", 2)], [("c", 0)]]
+    assert list(order[starts[:1]]) == [1]
+    order, starts, ends = segments(np.empty(0, np.int64))
+    assert len(order) == len(starts) == len(ends) == 0

@@ -144,25 +144,43 @@ def test_tile_to_points_inverts_rasterize(tmp_path):
 
 
 def test_lineage_records_carry_write_metrics(tmp_path):
-    """north_rule: per-partition lineage + METRICS — every tile record
-    carries write_ms and the logical byte count of the written tensor."""
+    """north_rule: per-partition lineage + METRICS — every tile record,
+    whichever writer committed it (straight, process hook, salted,
+    pyramid), carries the same fields: write_ms, the logical byte count
+    of the written tensor, cell_range, checksum and chunks_written."""
     from mapchete_xarray_ray.fixtures import make_pages
     from mapchete_xarray_ray.pipelines.flagship import (
         default_spec,
         run_pipeline,
+        run_pipeline_salted,
     )
     from mapchete_xarray_ray.pipelines.pyramid import run_pyramid_step
+    from mapchete_xarray_ray.processes.convert import convert_to_tensor
     from mapchete_xarray_ray.state.lineage import read_records
 
+    pages = make_pages(n=200)
     spec = default_spec(str(tmp_path / "met.zarr"))
-    _collect(run_pipeline(ray.data.from_arrow(make_pages(n=200)), spec))
-    recs = read_records(spec.path)
-    assert recs
-    for rec in recs.values():
-        m = rec["metrics"]
-        assert isinstance(m["write_ms"], int) and m["write_ms"] >= 0
-        assert m["bytes"] == 3 * 256 * 256 * 2  # 3 uint16 bands
+    _collect(run_pipeline(ray.data.from_arrow(pages), spec))
+    hook = default_spec(str(tmp_path / "hook.zarr"))
+    _collect(run_pipeline(ray.data.from_arrow(pages), hook,
+                          process_fn=convert_to_tensor))
+    salted = default_spec(str(tmp_path / "salted.zarr"))
+    _collect(run_pipeline_salted(ray.data.from_arrow(pages), salted,
+                                 hot_threshold=5))
     z4 = str(tmp_path / "met4.zarr")
     _collect(run_pyramid_step(spec.path, z4, how="sum"))
-    for rec in read_records(z4).values():
-        assert rec["metrics"]["bytes"] == 3 * 256 * 256 * 4  # uint32
+
+    for path, n_bytes in ((spec.path, 3 * 256 * 256 * 2),  # 3 uint16 bands
+                          (hook.path, 3 * 256 * 256 * 2),
+                          (salted.path, 3 * 256 * 256 * 2),
+                          (z4, 3 * 256 * 256 * 4)):  # uint32
+        recs = read_records(path)
+        assert recs, path
+        for rec in recs.values():
+            m = rec["metrics"]
+            assert isinstance(m["write_ms"], int) and m["write_ms"] >= 0
+            assert m["bytes"] == n_bytes, path
+            assert rec["chunks_written"] == 3, path
+            assert isinstance(rec["checksum"], int), path
+            lo, hi = rec["cell_range"]
+            assert lo == hi and isinstance(lo, int), path

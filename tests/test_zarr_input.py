@@ -229,6 +229,39 @@ def test_pyramid_time_axis_archive(tmp_path):
         assert int(parent[0, t].astype(np.int64).sum()) == want, t
 
 
+def test_pyramid_time_records_true_chunks_written(tmp_path):
+    """A time overview whose chunksize (2) is below its step count (3)
+    writes two time chunks per band; the record must say bands x time
+    chunks (2 x 2), matching the files on disk."""
+    from mapchete_xarray_ray.spec import JobSpec
+    from mapchete_xarray_ray.state.lineage import read_records
+
+    TIME = {"start": "2022-06-01", "end": "2022-06-03", "chunksize": 2,
+            "steps": ["2022-06-01", "2022-06-02", "2022-06-03"]}
+    spec = JobSpec(path=str(tmp_path / "t5.zarr"), zoom=5,
+                   bounds=(-180.0, 45.0, -135.0, 90.0), bands=2,
+                   dtype="uint16", time=TIME)
+    store = ZarrTileStore(spec)
+    store.prepare()
+    rng = np.random.default_rng(17)
+    ts = np.array(TIME["steps"], dtype="datetime64[us]")
+    for r, c in [(0, 0), (1, 1), (2, 3)]:
+        store.write_tile(r, c, rng.integers(0, 200, (2, 3, 256, 256),
+                                            dtype=np.uint16),
+                         timestamps=ts)
+    z4_path = str(tmp_path / "t4.zarr")
+    _collect(run_pyramid_step(spec.path, z4_path, how="sum"))
+    recs = read_records(z4_path)
+    assert len(recs) == 2
+    z4 = ZarrTileStore(spec_from_archive(z4_path))
+    for (_z, r, c), rec in recs.items():
+        assert rec["chunks_written"] == 2 * 2
+        on_disk = [f for band in spec.band_names
+                   for f in z4.chunk_files(band, *z4.tile_to_chunk(r, c))
+                   if os.path.exists(f)]
+        assert len(on_disk) == rec["chunks_written"]
+
+
 def test_pyramid_time_overview_repairs_corrupt_chunk(tmp_path):
     """A corrupt time-axis overview chunk must be rebuildable through
     invalidate + rerun: the overview writer covers the full time
