@@ -110,11 +110,9 @@ def main(argv=None):
             if args.overwrite:
                 # --overwrite = fresh archive; the pipeline itself then
                 # runs in its (default) continue mode over the empty one
-                import os
-                import shutil
+                from mapchete_xarray_ray.sinks.zarr import _rmtree
 
-                if os.path.exists(spec.path):
-                    shutil.rmtree(spec.path)
+                _rmtree(spec.path)
             out = run_pipeline(ds, spec, mode="continue")
             n = out.count()
             print(json.dumps({"tiles_written": n, "path": spec.path}))

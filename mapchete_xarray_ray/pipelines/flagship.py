@@ -58,7 +58,7 @@ from mapchete_xarray_ray.grid import unpack_tile_id
 from mapchete_xarray_ray.nputil import group_sum, segments
 from mapchete_xarray_ray.pipelines.commit import finalize_tile, summary_table
 from mapchete_xarray_ray.spec import JobSpec
-from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+from mapchete_xarray_ray.sinks.zarr import ZarrTileStore, _rmtree
 from mapchete_xarray_ray.stages.assign import assign_pages_fn
 from mapchete_xarray_ray.stages.text import extract_stage
 from mapchete_xarray_ray.state.lineage import completed_tiles
@@ -506,10 +506,8 @@ def run_flagship(sf_dir: str, out_path: str | None = None, n_pages: int = 2000,
     full E1 -> per-tile summary Dataset. ``sf_dir`` only scales n."""
     if out_path is None:
         out_path = f"/tmp/mxr_flagship_{os.getpid()}.zarr"
-    if mode == "overwrite" and os.path.exists(out_path):
-        import shutil
-
-        shutil.rmtree(out_path)
+    if mode == "overwrite":
+        _rmtree(out_path)
     pages = make_pages(n=n_pages)
     spec = default_spec(out_path)
     ds = ray.data.from_arrow(pages)

@@ -4,7 +4,7 @@ can skip finished partitions; never one giant file").
 
 Layout is hive-style — ``out_dir/<col>=<value>/part-0.parquet`` — with
 a ``_SUCCESS`` marker per partition directory written AFTER the data
-file (atomic temp+rename for both), so:
+file (both written atomically by ``sinks.zarr._put_bytes``), so:
 
 - a partition is complete iff its marker exists; a torn write (file
   without marker, or vice versa) is detected and redone;
@@ -24,12 +24,14 @@ task streams multiple partition files.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
+
+from mapchete_xarray_ray.nputil import segments
+from mapchete_xarray_ray.sinks.zarr import _put_bytes, _rmtree
 
 
 def _partition_dir(out_dir: str, col: str, value) -> str:
@@ -63,20 +65,6 @@ def completed_partitions(out_dir: str, col: str) -> set:
     return out
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
                       mode: str = "continue",
                       buckets: int = 16) -> pa.Table:
@@ -84,12 +72,10 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
     table (partition, n_rows) of partitions written THIS run. Rows of
     already-completed partitions are dropped at the first map stage in
     continue mode."""
-    if mode == "overwrite" and os.path.isdir(out_dir):
+    if mode == "overwrite":
         # stale partitions (absent from the new dataset) must not
         # survive an overwrite with valid markers
-        import shutil
-
-        shutil.rmtree(out_dir)
+        _rmtree(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir, partition_col) \
         if mode == "continue" else set()
@@ -123,14 +109,11 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
             return pa.table({"partition": pa.array([], pa.string()),
                              "n_rows": pa.array([], pa.int64())})
         group = group.drop_columns(["__pb"])
-        vals = group.column(partition_col).to_numpy(zero_copy_only=False)
-        order = np.argsort(vals.astype(str), kind="stable")
+        vals = group.column(partition_col).to_numpy(
+            zero_copy_only=False).astype(str)
+        order, starts, ends = segments(vals)
         group = group.take(pa.array(order))
-        svals = vals[order].astype(str)
-        new = np.ones(len(svals), dtype=bool)
-        new[1:] = svals[1:] != svals[:-1]
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(svals))
+        svals = vals[order]
         parts, counts = [], []
         for s, e in zip(starts, ends):
             seg = group.slice(s, e - s)
@@ -139,9 +122,8 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
 
             buf = io.BytesIO()
             pq.write_table(seg, buf)
-            _atomic_write(os.path.join(pdir, "part-0.parquet"),
-                          buf.getvalue())
-            _atomic_write(os.path.join(pdir, "_SUCCESS"), b"")
+            _put_bytes(os.path.join(pdir, "part-0.parquet"), buf.getvalue())
+            _put_bytes(os.path.join(pdir, "_SUCCESS"), b"")
             parts.append(str(svals[s]))
             counts.append(e - s)
         return pa.table({"partition": pa.array(parts, pa.string()),

@@ -20,16 +20,18 @@ layout spec visible in the reference fixtures
   ``AREA_OR_POINT`` (_output.py:697-700); global ``mapchete`` job
   metadata (_output.py:702-704); consolidated ``.zmetadata``.
 
-Chunk files are written temp-then-``os.replace`` (atomic on POSIX) so
-a killed task never leaves a torn chunk — the resume probe (chunk
-existence, like the reference's ``tiles_exist``) stays truthful.
-
-Storage backend: plain paths use the local filesystem; any ``://``
-URI (s3://, gs://, memory://, ...) routes through fsspec via the
-``_put_bytes``/``_get_bytes``/``_exists``/``_listdir`` seam — object
-PUTs are object-level atomic, which preserves the torn-write guarantee
-(tested against memory:// in tests/test_remote_store.py; the reference
-tests the same contract against S3, tests/conftest.py:11-20).
+Storage backend: every archive byte goes through the path's fsspec
+filesystem (``fsspec.core.url_to_fs``: ``LocalFileSystem`` for plain
+paths and file://, s3fs for s3://, memory:// in tests), one body per
+``_put_bytes``/``_get_bytes``/``_delete_bytes``/``_listdir`` helper —
+the reference's single ``MPath`` -> ``FSStore`` route (_output.py:253,
+377,681,689). Chunk and metadata writes stage a ``.tmp-`` sibling and
+move it into place, so a killed task never leaves a torn chunk and the
+resume probe (chunk existence, like the reference's ``tiles_exist``)
+stays truthful. A missing object is an exception caught by the reader,
+not an existence probe issued before every GET and DELETE (tested
+against memory:// and file:// in tests/test_remote_store.py; the
+reference tests the same contract against S3, tests/conftest.py:11-20).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import json
 import lzma
 import math
 import os
-import tempfile
 import zlib
 
 import numpy as np
@@ -60,10 +61,6 @@ WKT_3857 = (
 )
 
 
-def _is_remote(path: str) -> bool:
-    return "://" in str(path)
-
-
 def _fs(path: str):
     import fsspec
 
@@ -76,68 +73,48 @@ def _put_bytes(path: str, data: bytes) -> None:
     in-flight tasks once the probe is satisfied; a writer stage killed
     mid-write through a plain ``fs.open(path, "wb")`` leaves an
     empty/truncated chunk in place of a good one (observed: zlib
-    "truncated stream" / lineage JSONDecodeError on the file:// seam).
-    Local: temp file + os.replace. Remote (any fsspec URL): write a
-    ``.tmp-`` sibling then server-side move — on real object stores a
-    single PUT is already object-atomic, but fsspec's file:// (and
-    s3 multipart) is not, so the rename keeps the invariant uniform.
+    "truncated stream" / lineage JSONDecodeError). So every backend
+    writes a ``.tmp-`` sibling and then moves it onto ``path``: a
+    rename on local disk, a server-side copy on object stores (where a
+    single PUT is already object-atomic but s3 multipart is not).
     Stale ``.tmp-`` leftovers from killed tasks are ignored by
     ``_listdir``."""
-    if _is_remote(path):
-        fs = _fs(path)
-        fs.makedirs(path.rsplit("/", 1)[0], exist_ok=True)
-        tmp = f"{path}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
-        try:
-            with fs.open(tmp, "wb") as f:
-                f.write(data)
-            fs.mv(tmp, path)
-        except BaseException:
-            try:
-                if fs.exists(tmp):
-                    fs.rm(tmp)
-            except OSError:
-                pass
-            raise
-        return
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    fs = _fs(path)
+    fs.makedirs(path.rsplit("/", 1)[0], exist_ok=True)
+    tmp = f"{path}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
     try:
-        with os.fdopen(fd, "wb") as f:
+        with fs.open(tmp, "wb") as f:
             f.write(data)
-        os.replace(tmp, path)
+        fs.mv(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        try:
+            fs.rm(tmp)
+        except OSError:
+            pass
         raise
 
 
 def _get_bytes(path: str) -> bytes | None:
-    """Read a file/object; None if it does not exist."""
-    if _is_remote(path):
-        fs = _fs(path)
-        if not fs.exists(path):
-            return None
-        with fs.open(path, "rb") as f:
+    """Read a file/object; None if it does not exist (one GET, no
+    existence probe first)."""
+    try:
+        with _fs(path).open(path, "rb") as f:
             return f.read()
-    if not os.path.exists(path):
+    except FileNotFoundError:
         return None
-    with open(path, "rb") as f:
-        return f.read()
 
 
 def _exists(path: str) -> bool:
-    return _fs(path).exists(path) if _is_remote(path) else os.path.exists(path)
+    return _fs(path).exists(path)
 
 
 def _delete_bytes(path: str) -> None:
-    """Remove a file/object if present (idempotent)."""
-    if _is_remote(path):
-        fs = _fs(path)
-        if fs.exists(path):
-            fs.rm(path)
-    elif os.path.exists(path):
-        os.unlink(path)
+    """Remove a file/object if present: idempotent, one DELETE and no
+    existence probe."""
+    try:
+        _fs(path).rm(path)
+    except FileNotFoundError:
+        pass
 
 
 def _listdir(path: str) -> list[str]:
@@ -145,35 +122,23 @@ def _listdir(path: str) -> list[str]:
     in-flight/stale atomic-write siblings (see _put_bytes) are never
     part of the archive and are filtered here so metadata/lineage
     consumers don't try to parse them."""
-    if _is_remote(path):
-        fs = _fs(path)
-        if not fs.exists(path):
-            return []
-        names = [p.rstrip("/").rsplit("/", 1)[-1]
-                 for p in fs.ls(path, detail=False)]
-    elif not os.path.isdir(path):
+    try:
+        paths = _fs(path).ls(path, detail=False)
+    except FileNotFoundError:
         return []
-    else:
-        names = os.listdir(path)
+    names = (p.rstrip("/").rsplit("/", 1)[-1] for p in paths)
     return [n for n in names if ".tmp-" not in n]
 
 
 def _makedirs(path: str) -> None:
-    if _is_remote(path):
-        _fs(path).makedirs(path, exist_ok=True)
-    else:
-        os.makedirs(path)
+    _fs(path).makedirs(path, exist_ok=True)
 
 
 def _rmtree(path: str) -> None:
-    if _is_remote(path):
-        fs = _fs(path)
-        if fs.exists(path):
-            fs.rm(path, recursive=True)
-    else:
-        import shutil
-
-        shutil.rmtree(path, ignore_errors=True)
+    try:
+        _fs(path).rm(path, recursive=True)
+    except FileNotFoundError:
+        pass
 
 
 def _put_json(path: str, obj) -> None:

@@ -50,9 +50,15 @@ def test_cli_execute_resume_pyramid_overviews(tmp_path, capsys, pages_dir):
     assert all(os.path.isdir(lvl["path"]) for lvl in ov["levels"])
 
 
+@pytest.mark.parametrize("scheme", ["", "file://"], ids=["plain", "file_uri"])
 def test_cli_execute_incompatible_archive_fails_loud(tmp_path, capsys,
-                                                    pages_dir):
-    spec = {"path": str(tmp_path / "o.zarr"), "zoom": 5,
+                                                    pages_dir, scheme):
+    """A dtype change fails loud on an existing archive; ``--overwrite``
+    then replaces it, on plain paths and URIs alike."""
+    from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
+
+    path = f"{scheme}{tmp_path / 'o.zarr'}"
+    spec = {"path": path, "zoom": 5,
             "bounds": [-180.0, 45.0, -135.0, 90.0],
             "band_names": ["count", "count_en", "count_long"],
             "dtype": "uint16", "input": {"path": pages_dir}}
@@ -63,6 +69,8 @@ def test_cli_execute_incompatible_archive_fails_loud(tmp_path, capsys,
     json.dump(spec, open(spec_path, "w"))
     with pytest.raises(ValueError, match="incompatible"):
         cli.main(["execute", spec_path])
+    assert _run(capsys, ["execute", spec_path, "--overwrite"])["tiles_written"] > 0
+    assert spec_from_archive(path).dtype == "uint8"
 
 
 def test_cli_export_resume(tmp_path, capsys, sf_dir):

@@ -1,12 +1,17 @@
-"""S9 — remote-storage path of the tile store, exercised against the
-fsspec memory:// filesystem (no network; same code path an s3:// URI
-takes: every byte goes through the _put_bytes/_get_bytes/_listdir
-seam)."""
+"""S9 — the storage seam of the tile store, exercised against the
+fsspec memory:// and file:// filesystems (no network). Every path,
+plain or URI, takes the code path an s3:// URI takes: every byte goes
+through the path's fsspec filesystem via the _put_bytes/_get_bytes/
+_listdir seam."""
 
+from collections import Counter
+
+import fsspec
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray
+from fsspec.implementations.memory import MemoryFileSystem
 from mapchete_xarray_ray.collect import arrow_block_refs
 
 from mapchete_xarray_ray.fixtures import make_pages
@@ -27,9 +32,9 @@ def _collect(ds) -> pa.Table:
     "file:///tmp/mxr_remote_arch.zarr",
 ])
 def test_store_roundtrip_on_fsspec_backends(path):
-    """The \"://\" routing is backend-generic, not memory://-specific:
-    the same seam drives a second offline fsspec filesystem (file://,
-    fsspec's LocalFileSystem — NOT the plain-path branch)."""
+    """The seam is backend-generic, not memory://-specific: the same
+    helpers drive a second offline fsspec filesystem (file://, fsspec's
+    LocalFileSystem — the filesystem plain paths resolve to as well)."""
     _rmtree(path)
     spec = default_spec(path, dtype="uint16")
     store = ZarrTileStore(spec)
@@ -77,14 +82,16 @@ def test_lineage_on_memory_fs():
 @pytest.mark.parametrize("path", [
     "memory://remote_torn.zarr",
     "file:///tmp/mxr_remote_torn.zarr",
+    "/tmp/mxr_plain_torn.zarr",
 ])
 def test_stale_tmp_siblings_are_invisible(path):
-    """Atomic-write contract on the fsspec seam: _put_bytes stages into
-    a ``.tmp-`` sibling and renames, so (a) a successful write leaves no
-    ``.tmp-`` garbage, and (b) garbage left by a task KILLED mid-write
-    (Ray probe cancellation, preemption, OOM) is ignored by every
-    archive consumer — _listdir, existing_tiles, lineage — instead of
-    being parsed as a torn chunk/JSON."""
+    """Atomic-write contract on the fsspec seam, plain paths included:
+    _put_bytes stages into a ``.tmp-`` sibling and renames, so (a) a
+    successful write leaves no ``.tmp-`` garbage, and (b) garbage left
+    by a task KILLED mid-write (Ray probe cancellation, preemption,
+    OOM) is ignored by every archive consumer — _listdir,
+    existing_tiles, lineage — instead of being parsed as a torn
+    chunk/JSON."""
     from mapchete_xarray_ray.sinks.zarr import _fs, _listdir, _put_bytes
 
     _rmtree(path)
@@ -139,3 +146,50 @@ def test_flagship_e2e_on_file_uri():
     assert total == 200
     assert len(read_records(path)) == out.num_rows
     _rmtree(path)
+
+
+class _ProbeCountingFS(MemoryFileSystem):
+    """memory:// under its own protocol, counting the calls the seam
+    makes: a probe-free read is one ``open`` and no ``exists``."""
+
+    protocol = ("probecount",)
+    calls = Counter()
+
+    @classmethod
+    def _strip_protocol(cls, path):
+        return super()._strip_protocol(
+            path.replace("probecount://", "memory://", 1))
+
+    def exists(self, path, **kwargs):
+        self.calls["exists"] += 1
+        return super().exists(path, **kwargs)
+
+    def open(self, path, mode="rb", **kwargs):
+        self.calls["open"] += 1
+        return super().open(path, mode, **kwargs)
+
+
+def test_reads_and_deletes_issue_no_existence_probe():
+    """A GET or DELETE is one request on every backend: a missing
+    object is the backend's FileNotFoundError, caught by the helper,
+    never an ``exists`` round trip first."""
+    from mapchete_xarray_ray.sinks.zarr import (_delete_bytes, _get_bytes,
+                                               _listdir, _put_bytes)
+
+    fsspec.register_implementation("probecount", _ProbeCountingFS,
+                                   clobber=True)
+    root = "probecount://probe_arch"
+    _put_bytes(f"{root}/band/0.0", b"chunk")
+    calls = _ProbeCountingFS.calls
+    calls.clear()
+    assert _get_bytes(f"{root}/band/0.0") == b"chunk"
+    assert calls == Counter(open=1)
+    calls.clear()
+    assert _get_bytes(f"{root}/band/9.9") is None
+    assert calls == Counter(open=1)
+    _delete_bytes(f"{root}/band/9.9")
+    _rmtree(f"{root}/no_such_band")
+    assert _listdir(f"{root}/no_such_band") == []
+    assert _listdir(f"{root}/band") == ["0.0"]
+    _rmtree(root)
+    assert _get_bytes(f"{root}/band/0.0") is None
