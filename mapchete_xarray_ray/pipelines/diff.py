@@ -113,9 +113,9 @@ def refresh_archive(pages: ray.data.Dataset, cur_path: str, prev_path: str,
 
     Scale shape: the diff is shuffle-free (tile grid = partitioning),
     invalidation is |changed| tiny deletes from the driver, and the
-    recompute pays the narrow extract/assign scan over ``pages`` plus
-    a shuffle of ONLY the rows landing in stale tiles (complete tiles
-    are filtered before the exchange).
+    recompute pays a url-only assign scan over ``pages``; html-to-text
+    extraction and the shuffle see ONLY the rows landing in stale
+    tiles (complete tiles are filtered right after assign).
 
     A changed tile with NO rows in ``pages`` stays invalidated (chunks
     present, record absent — the torn-write state, recomputed by the

@@ -1,13 +1,13 @@
-"""E1 — the flagship pipeline: pages -> extract -> assign -> per-tile
+"""E1 — the flagship pipeline: pages -> assign -> extract -> per-tile
 rasterize -> zarr-layout tile archive (+ lineage), Ray-Data-first.
 
 Shape (SURVEY.md §3 E1):
 
     read pages (parquet fragments / in-memory table)
-    -> map_batches(extract_stage)            # html->text, html dropped
     -> map_batches(assign)                   # lon/lat + tile_id/cell_id
-    -> map_batches(compact)                  # NARROW the shuffle rows
     -> [continue mode] filter out done tiles # broadcast done-set
+    -> map_batches(extract_stage)            # html->text, html dropped
+    -> map_batches(compact)                  # NARROW the shuffle rows
     -> groupby(tile_id).map_groups(_tile_writer)  # dedup+rasterize+commit
     -> Dataset of per-tile summaries
 
@@ -220,20 +220,17 @@ def _process_compact(spec: JobSpec):
 def _front_end(ds: ray.data.Dataset, spec: JobSpec, mode: str,
                already_extracted: bool, compact) -> ray.data.Dataset:
     """The front end both physical plans share: prepare the archive,
-    then extract -> assign -> compact -> [continue mode] drop the rows
-    of complete tiles before any shuffle."""
+    then assign -> [continue mode] drop the rows of complete tiles ->
+    extract -> compact. A row's tile depends only on its ``url``, so
+    complete tiles are dropped before any html is turned into text,
+    and long before the shuffle."""
     store = ZarrTileStore(spec)
     store.prepare()
-    if not already_extracted:
-        ds = ds.map_batches(extract_stage, batch_format="pyarrow")
     ds = ds.map_batches(
         assign_pages_fn(spec.snapped_bounds, spec.zoom, spec.grid, spec.cell_zoom,
                         pyramid=spec.pyramid),
         batch_format="pyarrow",
     )
-    # project rows down BEFORE the shuffle (SURVEY.md §7 hard part 6):
-    # text/html never enter the all-to-all exchange
-    ds = ds.map_batches(compact, batch_format="pyarrow")
     if mode == "continue":
         done = completed_tiles(store)
         if done:
@@ -245,7 +242,11 @@ def _front_end(ds: ray.data.Dataset, spec: JobSpec, mode: str,
                 return batch.filter(pa.array(keep))
 
             ds = ds.map_batches(drop_done, batch_format="pyarrow")
-    return ds
+    if not already_extracted:
+        ds = ds.map_batches(extract_stage, batch_format="pyarrow")
+    # project rows down BEFORE the shuffle (SURVEY.md §7 hard part 6):
+    # text/html never enter the all-to-all exchange
+    return ds.map_batches(compact, batch_format="pyarrow")
 
 
 def _first_crawls(tbl: pa.Table, *keys: str) -> pa.Table:

@@ -7,6 +7,13 @@ footprint (J3), then one ``map_batches`` stage whose tasks each read
 their 2x2 child window from the source archive (mosaic read) and write
 the downsampled parent tile + lineage — no shuffle at all: the tile
 grid itself is the partitioning, each task's read set is disjoint.
+
+The downsample (:func:`_downsample2`) combines the four strided
+quarters ``window[..., i::2, j::2]`` pixel-wise in quarter-sized
+arrays and never reshapes or copies the whole window. Integer sums are
+exact and float sums add in the order of numpy's ``sum`` over the 2x2
+block axes, so an overview's bytes equal a plain block reduction's
+(tests/test_pyramid_kernel.py keeps that reduction as the oracle).
 """
 
 from __future__ import annotations
@@ -32,23 +39,42 @@ from mapchete_xarray_ray.state.lineage import completed_tiles
 
 
 def _downsample2(arr: np.ndarray, how: str = "sum", nodata=0) -> np.ndarray:
-    """2x block-reduce the last two axes (vectorized reshape trick).
+    """2x block-reduce the last two axes over the four strided quarters
+    ``arr[..., i::2, j::2]`` (views; nothing the size of the window is
+    allocated).
 
-    Nodata-aware: nodata children contribute 0 (sum) / -inf-like (max)
-    instead of their fill value; a parent pixel whose 2x2 children are
-    ALL nodata stays nodata. Integer inputs accumulate in int64; float
-    inputs keep float64 (no truncation)."""
-    *lead, h, w = arr.shape
-    acc_dtype = np.float64 if np.issubdtype(arr.dtype, np.floating) else np.int64
-    r = arr.reshape(*lead, h // 2, 2, w // 2, 2).astype(acc_dtype)
-    nd = r == nodata
-    all_nd = nd.all(axis=(-3, -1))
-    if how == "sum":
-        out = np.where(nd, 0, r).sum(axis=(-3, -1))
-    elif how == "max":
-        lowest = np.finfo(acc_dtype).min if acc_dtype is np.float64 \
-            else np.iinfo(np.int64).min
-        out = np.where(nd, lowest, r).max(axis=(-3, -1))
+    Nodata-aware: nodata children contribute 0 (sum) / the lowest value
+    (max) instead of their fill value; a parent pixel whose 2x2
+    children are ALL nodata stays nodata. Integer sums accumulate the
+    raw quarters in one quarter-sized int64 array and then take
+    ``nodata`` back out once per nodata child — exact integer
+    arithmetic. Float sums and every max mask each quarter (float
+    inputs in float64, no truncation) and combine as
+    ``(q00 + q01) + (q10 + q11)``, the order numpy's block reduction
+    summed in, so the result is bit-identical to it for every window at
+    least 4 px wide (two tiles of >= 2 px)."""
+    floating = np.issubdtype(arr.dtype, np.floating)
+    acc_dtype = np.float64 if floating else np.int64
+    quarters = [arr[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    if floating:
+        # compare in float64, as the accumulator sees the value
+        quarters = [q.astype(np.float64, copy=False) for q in quarters]
+    nds = [q == nodata for q in quarters]
+    all_nd = nds[0] & nds[1] & nds[2] & nds[3]
+    if how == "sum" and not floating:
+        out = quarters[0].astype(np.int64)
+        for q in quarters[1:]:
+            np.add(out, q, out=out, dtype=np.int64, casting="unsafe")
+        if nodata != 0 and any(nd.any() for nd in nds):
+            out -= sum(nd.view(np.int8) for nd in nds) * np.int64(nodata)
+    elif how in ("sum", "max"):
+        fill = 0 if how == "sum" else (np.finfo(acc_dtype).min if floating
+                                       else np.iinfo(np.int64).min)
+        m = [np.where(nd, acc_dtype(fill), q) for q, nd in zip(quarters, nds)]
+        if how == "sum":
+            out = (m[0] + m[1]) + (m[2] + m[3])
+        else:
+            out = np.maximum(np.maximum(m[0], m[1]), np.maximum(m[2], m[3]))
     else:
         raise ValueError(how)
     out[all_nd] = nodata
@@ -56,10 +82,12 @@ def _downsample2(arr: np.ndarray, how: str = "sum", nodata=0) -> np.ndarray:
 
 
 def _clip_to_dtype(arr: np.ndarray, dtype) -> np.ndarray:
+    """Clip ``arr`` to ``dtype``'s range IN PLACE, then cast. Callers
+    pass the kernel's fresh output, never a view of a window."""
     dt = np.dtype(dtype)
     if np.issubdtype(dt, np.integer):
         info = np.iinfo(dt)
-        arr = arr.clip(info.min, info.max)
+        np.clip(arr, info.min, info.max, out=arr)
     return arr.astype(dt)
 
 

@@ -15,15 +15,23 @@ import os
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 import ray
 
 from mapchete_xarray_ray import cli
 from mapchete_xarray_ray.collect import collect_table
 from mapchete_xarray_ray.fixtures import make_pages, write_pages
 from mapchete_xarray_ray.pipelines.diff import archive_diff_ds, refresh_archive
-from mapchete_xarray_ray.pipelines.flagship import default_spec, run_pipeline
+from mapchete_xarray_ray.functions.extract import extract_text
+from mapchete_xarray_ray.pipelines.flagship import (
+    default_spec,
+    run_pipeline,
+    run_pipeline_salted,
+)
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
-from mapchete_xarray_ray.state.lineage import completed_tiles
+from mapchete_xarray_ray.stages.assign import assign_pages_fn
+from mapchete_xarray_ray.state.lineage import completed_tiles, invalidate_tiles
 
 
 def _chunk_snapshot(spec) -> dict[str, tuple[int, bytes, tuple[int, int]]]:
@@ -52,6 +60,49 @@ def _build(pages: pa.Table, path: str):
     collect_table(run_pipeline(ray.data.from_arrow(pages), spec,
                                mode="continue"))
     return spec
+
+
+@pytest.mark.parametrize("plan", [run_pipeline, run_pipeline_salted],
+                         ids=["straight", "salted"])
+def test_resume_drops_complete_tiles_before_extraction(tmp_path, plan):
+    """A continue-mode run drops the rows of complete tiles before any
+    html is extracted. Here every such row carries html that
+    ``extract_text`` rejects, so the run passes only if it never
+    extracts them; the one stale tile is rebuilt to the same bytes."""
+    poison = b"&#1114112;"  # a character reference past U+10FFFF
+    with pytest.raises(ValueError):
+        extract_text(poison)
+
+    pages = make_pages(n=300)
+    spec = _build(pages, str(tmp_path / "cur.zarr"))
+    zoom = spec.zoom
+    stale = sorted(ZarrTileStore(spec).existing_tiles())[0]
+    assert invalidate_tiles(spec.path, [(zoom, *stale)]) == 1
+    before = _chunk_snapshot(spec)
+    time.sleep(0.02)  # mtime separation for the rebuild assertion
+
+    tiles = assign_pages_fn(spec.snapped_bounds, zoom, spec.grid,
+                            spec.cell_zoom, pyramid=spec.pyramid)(pages)
+    in_stale = pc.and_(pc.equal(tiles.column("tile_row"), stale[0]),
+                       pc.equal(tiles.column("tile_col"), stale[1]))
+    assert 0 < pc.sum(in_stale).as_py() < pages.num_rows
+    poisoned = pages.set_column(
+        pages.schema.get_field_index("html"), "html",
+        pc.if_else(in_stale, pages.column("html"),
+                   pa.scalar(poison, pa.binary())))
+
+    out = collect_table(plan(ray.data.from_arrow(poisoned), spec,
+                             mode="continue"))
+    assert list(zip(out.column("tile_row").to_pylist(),
+                    out.column("tile_col").to_pylist())) == [stale]
+    after = _chunk_snapshot(spec)
+    assert set(after) == set(before)
+    for rel, (mt0, buf0, tile) in before.items():
+        mt1, buf1, _ = after[rel]
+        assert buf1 == buf0, f"{rel}: bytes moved on resume"
+        assert (mt1 > mt0) == (tile == stale), rel
+    store = ZarrTileStore(spec)
+    assert len(completed_tiles(store)) == len(store.existing_tiles())
 
 
 def test_refresh_recomputes_exactly_the_changed_tiles(tmp_path):
