@@ -195,11 +195,10 @@ def run_queries(sf_dir: str,
 def main():
     import ray
 
-    # GRAFT_STORE_COMPRESSOR=0 makes the roundtrip queries write
-    # raw-chunk archives (values identical; readers decode by archive
-    # metadata). NOT set by default: the count grids are mostly zeros,
-    # so zlib-1 shrinks each 256 KiB chunk ~100x — raw archives move
-    # far more bytes through the fs and measured no faster (within the
+    # the roundtrip queries write zlib-1 archives (JobSpec's default
+    # compression): the count grids are mostly zeros, so zlib-1 shrinks
+    # each 256 KiB chunk ~100x. Raw-chunk archives were measured and
+    # moved far more bytes through the fs for no speedup (within the
     # host's +-50% IO noise; see BASELINE.md).
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,

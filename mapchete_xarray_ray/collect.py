@@ -15,6 +15,14 @@ mid-write task cancellation is what motivated the atomic
 Only FINAL, small results come through here (driver hash-compare
 tables, bounded partials such as k x dim centroid sums or per-lang
 histograms); pipelines themselves stay streaming.
+
+The UDF contract the package relies on: Ray Data never calls a
+pyarrow ``map_batches`` or ``map_groups`` function on a zero-row block
+(``plan_udf_map_op`` passes such blocks through unchanged, and
+``map_groups`` yields no group for them), so UDFs carry no empty-block
+entry guard. Those passed-through blocks can be zero-column, which is
+why :func:`collect_table` drops them. ``tests/test_ray_contract.py``
+pins the contract.
 """
 
 from __future__ import annotations

@@ -488,11 +488,6 @@ def run_pipeline_salted(ds: ray.data.Dataset, spec: JobSpec,
         _salted_partial_writer(spec), batch_format="pyarrow")
 
     def add_tbucket(batch: pa.Table) -> pa.Table:
-        if "tile_id" not in batch.column_names:
-            return pa.table({"tile_id": pa.array([], pa.int64()),
-                             "n_pages": pa.array([], pa.int64()),
-                             "grid": pa.array([], pa.large_binary()),
-                             "tbucket": pa.array([], pa.int64())})
         tb = (batch.column("tile_id").to_numpy() % 64).astype(np.int64)
         return batch.append_column("tbucket", pa.array(tb))
 

@@ -86,41 +86,18 @@ def _regroup(ds, per_cpu: float = 0.25):
     return ds.repartition(nblocks_for_cluster(per_cpu))
 
 
-def _store_compressor() -> str:
-    """Compression spec for archives created by the roundtrip queries
-    (any :func:`mapchete_xarray_ray.spec.parse_compression` form, e.g.
-    ``0`` raw, ``6`` zlib-6, ``bz2:9``, ``lzma``).
-
-    ``GRAFT_STORE_COMPRESSOR=0`` writes raw chunks. Values are identical
-    either way (the driver hash doesn't see bytes on disk); readers
-    decode by the archive's own ``.zarray`` metadata, so the knob only
-    matters at initialize time. bench.py documents why it does NOT set
-    it (mostly-zero chunks compress ~100x at zlib-1, so raw archives
-    move more bytes and measure no faster)."""
-    import os
-
-    return os.environ.get("GRAFT_STORE_COMPRESSOR", "1")
-
-
 from mapchete_xarray_ray.collect import collect_table  # noqa: E402 — re-export;
 # the probe-free replacement for to_arrow_refs (see collect.py: Ray
 # 2.49's to_arrow_refs re-executes the plan with limit=1 for a schema
 # fetch, which for sort/groupby plans is nearly a full second run).
 
 
-def _mod_bucket(col: str, out: str = "bucket", mod: int = 64,
-                empty: dict | None = None):
+def _mod_bucket(col: str, out: str = "bucket", mod: int = 64):
     """map_batches fn factory: append ``out = col % mod`` (the coarse
-    shuffle key for the one-python-call-per-bucket group pattern).
-    ``empty`` maps column name -> pyarrow type for the typed
-    empty-table guard — post-groupby stages can hand over zero-column
-    blocks, and an unguarded ``batch.column(col)`` there raises."""
+    shuffle key for the one-python-call-per-bucket group pattern). Ray
+    never hands it a zero-row block (contract in ``collect.py``)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        if col not in batch.column_names:
-            cols = dict(empty or {})
-            cols[out] = pa.int64()
-            return pa.table({n: pa.array([], t) for n, t in cols.items()})
         b = batch.column(col).to_numpy(zero_copy_only=False) % mod
         return batch.append_column(out, pa.array(b.astype(np.int64)))
 
@@ -131,15 +108,13 @@ def _schema_finalize(ds, cols: dict):
     """map_batches stage that coerces every block to one fixed schema.
 
     ``cols`` maps column name -> pyarrow type. Ray 2.49's operator
-    fusion can deliver heterogeneous blocks to the driver (empty groups
-    / fused projections keep extra or zero columns), which breaks
-    ``select_columns`` + concat; an explicit projection with a hardcoded
-    empty-table schema is the robust finalize (q_knn pattern)."""
+    fusion can deliver blocks whose columns carry different types or
+    extra columns, which breaks ``select_columns`` + concat; an explicit
+    projection with cast is the robust finalize (q_knn pattern). Ray
+    never hands it a zero-row block (contract in ``collect.py``)."""
     names = list(cols)
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if names[0] not in batch.column_names:
-            return pa.table({n: pa.array([], t) for n, t in cols.items()})
         return pa.table({n: batch.column(n).cast(cols[n]) for n in names})
 
     return ds.map_batches(finalize, batch_format="pyarrow")
@@ -350,8 +325,6 @@ def q_pip_antijoin(sf_dir: str):
     regions = _pip_regions()
 
     def unmatched_only(batch: pa.Table) -> pa.Table:
-        if "doc_id" not in batch.column_names:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
         m = pa.compute.equal(batch.column("region_id"), -1)
         return pa.table({"doc_id": batch.filter(m).column("doc_id")})
 
@@ -519,10 +492,7 @@ def q_customer_order_profile(sf_dir: str):
                                              else 0, 0), pa.int64()),
         })
 
-    bucket = _mod_bucket("custkey", "cb", empty={
-        "custkey": pa.int64(), "nationkey": pa.int64(),
-        "n_orders": pa.int64(), "total_cents": pa.int64(),
-        "is_cust": pa.bool_()})
+    bucket = _mod_bucket("custkey", "cb")
     orders = (_read(f"{sf_dir}/orders.parquet",
                     columns=["o_custkey", "o_totalprice"])
               .map_batches(o_partial, batch_format="pyarrow"))
@@ -562,13 +532,6 @@ def q_knn(sf_dir: str):
     out = knn_pipeline(pts, k=3, cell_span=1024.0, ncols=16, nrows=8)
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if "id" not in batch.column_names:  # empty block from a dry round
-            return pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "rank": pa.array([], pa.int64()),
-                "dist2": pa.array([], pa.int64()),
-            })
         return pa.table({
             "doc_id": batch.column("id"),
             "neighbor_id": batch.column("neighbor_id"),
@@ -815,8 +778,7 @@ def minhash_pairs_pipeline(docs: "ray.data.Dataset",
 
     pids = dedup_pairs_ds(cands).materialize()
     paired = attach_pair_values(pids, docs, "text", pa.string())
-    vbucket = _mod_bucket("pid", "vb", empty={
-        "pid": pa.int64(), "side": pa.int64(), "text": pa.string()})
+    vbucket = _mod_bucket("pid", "vb")
 
     def score(group: pa.Table) -> pa.Table:
         pu, ta, tb = paired_values(group, "text")
@@ -1110,8 +1072,7 @@ def q_simhash_neardup(sf_dir: str):
 
     paired = attach_pair_values(pids, docs, "sig", pa.int64(),
                                 value_fn=sig_fn)
-    vbucket = _mod_bucket("pid", "vb", empty={
-        "pid": pa.int64(), "side": pa.int64(), "sig": pa.int64()})
+    vbucket = _mod_bucket("pid", "vb")
 
     def score(group: pa.Table) -> pa.Table:
         pu, sa, sb = paired_values(group, "sig")
@@ -1199,14 +1160,11 @@ def q_ngram_jaccard(sf_dir: str):
                                    batch_format="pyarrow"))
     with_df = dg.groupby("gb").map_groups(gram_df_attach,
                                           batch_format="pyarrow")
-    dbucket = _mod_bucket("doc_id", "db", empty={
-        "doc_id": pa.int64(), "gram_hash": pa.int64(), "df": pa.int64()})
+    dbucket = _mod_bucket("doc_id", "db")
     prefix = (_regroup(with_df.map_batches(dbucket, batch_format="pyarrow"))
               .groupby("db")
               .map_groups(ngram_prefix_select, batch_format="pyarrow"))
-    gbucket2 = _mod_bucket("gram_hash", "gb", empty={
-        "doc_id": pa.int64(), "gram_hash": pa.int64(),
-        "n": pa.int64(), "rank": pa.int64()})
+    gbucket2 = _mod_bucket("gram_hash", "gb")
     cands = (_regroup(prefix.map_batches(gbucket2, batch_format="pyarrow"))
              .groupby("gb")
              .map_groups(ppjoin_pairs_bucketed, batch_format="pyarrow"))
@@ -1215,8 +1173,7 @@ def q_ngram_jaccard(sf_dir: str):
     grams_t = pa.list_(pa.int64())
     paired = attach_pair_values(pids, docs, "grams", grams_t,
                                 value_fn=gram_array_fn)
-    vbucket = _mod_bucket("pid", "vb", empty={
-        "pid": pa.int64(), "side": pa.int64(), "grams": grams_t})
+    vbucket = _mod_bucket("pid", "vb")
 
     def score(group: pa.Table) -> pa.Table:
         pu, va, vb = paired_values(group, "grams")
@@ -1306,8 +1263,6 @@ def q_dedup_canonical(sf_dir: str):
     cc = connected_components_ds(pairs)
 
     def non_canonical(batch: pa.Table) -> pa.Table:
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
         d = batch.column("doc_id").to_numpy(zero_copy_only=False)
         c = batch.column("cluster_id").to_numpy(zero_copy_only=False)
         return pa.table({"doc_id": pa.array(d[d != c], pa.int64())})
@@ -1352,9 +1307,6 @@ def q_stratified_sample(sf_dir: str):
                          "lang": pa.array(lang_s[keep], pa.string())})
 
     def partial(batch: pa.Table) -> pa.Table:
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "lang": pa.array([], pa.string())})
         return topk_per_lang(batch)
 
     out = (_regroup(_docs(sf_dir, ["doc_id", "lang"])
@@ -1605,9 +1557,7 @@ def q_events_sessions(sf_dir: str):
             "n_events": pa.array(ends - starts, pa.int64()),
         })
 
-    add_bucket = _mod_bucket("user_id", empty={
-        "event_id": pa.int64(), "ts": pa.timestamp("us"),
-        "user_id": pa.int64()})
+    add_bucket = _mod_bucket("user_id")
     return (
         _regroup(_read(f"{sf_dir}/events.parquet",
                        columns=["event_id", "ts", "user_id"])
@@ -2233,9 +2183,7 @@ def q_running_totals(sf_dir: str):
     not just a commutative groupby."""
     from mapchete_xarray_ray.stages.streaming import running_totals_group
 
-    add_bucket = _mod_bucket("user_id", mod=32, empty={
-        "event_id": pa.int64(), "ts": pa.timestamp("us"),
-        "user_id": pa.int64(), "value": pa.float64()})
+    add_bucket = _mod_bucket("user_id", mod=32)
 
     return (
         _regroup(_read(
@@ -2342,11 +2290,6 @@ def q_events_late(sf_dir: str):
     pref_ref = ray.put((uniq_rb, prefix))
 
     def add_rb(batch: pa.Table) -> pa.Table:
-        if "event_id" not in batch.column_names:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "ts": pa.array([], pa.timestamp("us")),
-                             "user_id": pa.array([], pa.int64()),
-                             "rb": pa.array([], pa.int64())})
         e = batch.column("event_id").to_numpy(zero_copy_only=False)
         t = batch.column("ts").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -2354,11 +2297,6 @@ def q_events_late(sf_dir: str):
             "rb", pa.array(((t + jitter(e)) // RANGE_US).astype(np.int64)))
 
     def classify(group: pa.Table) -> pa.Table:
-        if "event_id" not in group.column_names or group.num_rows == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "user_id": pa.array([], pa.int64()),
-                             "ts_us": pa.array([], pa.int64()),
-                             "late_by_us": pa.array([], pa.int64())})
         e = group.column("event_id").to_numpy(zero_copy_only=False)
         t = group.column("ts").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -2474,10 +2412,6 @@ def q_pagerank(sf_dir: str):
         """global edge distinct + per-src degree (the bucket holds ALL
         edges of its srcs). Emits edge rows (kind=0) and node rows
         (kind=1, d=deg, s=initial score)."""
-        empty = {"src": pa.int64(), "dst": pa.int64(), "d": pa.int64(),
-                 "s": pa.int64(), "kind": pa.int64()}
-        if "src" not in group.column_names or group.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in empty.items()})
         s = group.column("src").to_numpy(zero_copy_only=False)
         t = group.column("dst").to_numpy(zero_copy_only=False)
         uniq = np.unique(np.stack([s, t]), axis=1)
@@ -2497,9 +2431,6 @@ def q_pagerank(sf_dir: str):
 
     def contribs(group: pa.Table) -> pa.Table:
         """src-bucket co-group: per-dst partial contribution sums."""
-        if "src" not in group.column_names or group.num_rows == 0:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "acc": pa.array([], pa.int64())})
         kind = group.column("kind").to_numpy(zero_copy_only=False)
         src = group.column("src").to_numpy(zero_copy_only=False)
         is_n = kind == 1
@@ -2521,10 +2452,6 @@ def q_pagerank(sf_dir: str):
     def fold_scores(group: pa.Table) -> pa.Table:
         """dst-bucket co-group: partial sums + node-deg rows -> next
         score rows (same schema as build's node rows)."""
-        empty = {"src": pa.int64(), "dst": pa.int64(), "d": pa.int64(),
-                 "s": pa.int64(), "kind": pa.int64()}
-        if "v" not in group.column_names or group.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in empty.items()})
         v = group.column("v").to_numpy(zero_copy_only=False)
         acc = group.column("acc").to_numpy(zero_copy_only=False)
         kind = group.column("kind").to_numpy(zero_copy_only=False)
@@ -2547,19 +2474,13 @@ def q_pagerank(sf_dir: str):
     li = _read(f"{sf_dir}/lineitem.parquet",
                columns=["l_orderkey", "l_partkey"])
     graph = (_regroup(li.map_batches(pairs, batch_format="pyarrow")
-                      .map_batches(_mod_bucket("src", "sb", empty={
-                          "src": pa.int64(), "dst": pa.int64()}),
+                      .map_batches(_mod_bucket("src", "sb"),
                           batch_format="pyarrow"))
              .groupby("sb")
              .map_groups(build, batch_format="pyarrow")
              .materialize())
     def keep_kind(k: int):
         def fn(batch: pa.Table) -> pa.Table:
-            if "kind" not in batch.column_names:
-                return pa.table({n: pa.array([], t) for n, t in {
-                    "src": pa.int64(), "dst": pa.int64(),
-                    "d": pa.int64(), "s": pa.int64(),
-                    "kind": pa.int64()}.items()})
             m = batch.column("kind").to_numpy(zero_copy_only=False) == k
             return batch.filter(pa.array(m))
         return fn
@@ -2568,32 +2489,21 @@ def q_pagerank(sf_dir: str):
                               batch_format="pyarrow").materialize()
     scores = graph.map_batches(keep_kind(1),
                                batch_format="pyarrow").materialize()
-    sbucket = _mod_bucket("src", "sb", empty={
-        "src": pa.int64(), "dst": pa.int64(), "d": pa.int64(),
-        "s": pa.int64(), "kind": pa.int64()})
+    sbucket = _mod_bucket("src", "sb")
     # node-deg rows reused every round on the fold side (kind=1 tags
     # them apart from the contribution partials)
     def node_acc(batch: pa.Table) -> pa.Table:
-        if "src" not in batch.column_names:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "acc": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int64())})
         n = batch.num_rows
         return pa.table({"v": batch.column("src"),
                          "acc": batch.column("d"),
                          "kind": pa.array(np.ones(n, np.int64))})
 
     def part_kind0(batch: pa.Table) -> pa.Table:
-        if "v" not in batch.column_names:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "acc": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int64())})
         n = batch.num_rows
         return batch.append_column("kind",
                                    pa.array(np.zeros(n, np.int64)))
 
-    vbucket = _mod_bucket("v", "vb", empty={
-        "v": pa.int64(), "acc": pa.int64(), "kind": pa.int64()})
+    vbucket = _mod_bucket("v", "vb")
     deg_rows = scores.map_batches(node_acc, batch_format="pyarrow")
     for _ in range(_PR_ITERS):
         part = (_regroup(edges.union(scores)
@@ -2608,9 +2518,6 @@ def q_pagerank(sf_dir: str):
                   .materialize())
 
     def project(batch: pa.Table) -> pa.Table:
-        if "src" not in batch.column_names:
-            return pa.table({"node_id": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.int64())})
         return pa.table({"node_id": batch.column("src"),
                          "score": batch.column("s")})
 
@@ -2658,10 +2565,6 @@ def q_retention(sf_dir: str):
                          "h": pa.array(uniq[1], pa.int64())})
 
     def fold(group: pa.Table) -> pa.Table:
-        empty = {"cohort_hour": pa.int64(), "offset_hours": pa.int64(),
-                 "n_users": pa.int64()}
-        if "user_id" not in group.column_names or group.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in empty.items()})
         u = group.column("user_id").to_numpy(zero_copy_only=False)
         h = group.column("h").to_numpy(zero_copy_only=False)
         # per-user: cohort = min hour; one (cohort, offset) row per
@@ -2687,10 +2590,6 @@ def q_retention(sf_dir: str):
         })
 
     def final(group: pa.Table) -> pa.Table:
-        if "cohort_hour" not in group.column_names or group.num_rows == 0:
-            return pa.table({"cohort_hour": pa.array([], pa.int64()),
-                             "offset_hours": pa.array([], pa.int64()),
-                             "n_users": pa.array([], pa.int64())})
         g = group.group_by(["cohort_hour", "offset_hours"]).aggregate(
             [("n_users", "sum")])
         return pa.table({
@@ -2702,15 +2601,12 @@ def q_retention(sf_dir: str):
     ev = _read(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
     partials = (_regroup(ev.map_batches(distinct_uh,
                                         batch_format="pyarrow")
-                         .map_batches(_mod_bucket("user_id", "ub", empty={
-                             "user_id": pa.int64(), "h": pa.int64()}),
+                         .map_batches(_mod_bucket("user_id", "ub"),
                              batch_format="pyarrow"))
                 .groupby("ub")
                 .map_groups(fold, batch_format="pyarrow"))
     out = (_regroup(partials.map_batches(
-        _mod_bucket("cohort_hour", "cb", empty={
-            "cohort_hour": pa.int64(), "offset_hours": pa.int64(),
-            "n_users": pa.int64()}), batch_format="pyarrow"), 0.125)
+        _mod_bucket("cohort_hour", "cb"), batch_format="pyarrow"), 0.125)
         .groupby("cb")
         .map_groups(final, batch_format="pyarrow"))
     return _schema_finalize(out, {"cohort_hour": pa.int64(),
@@ -2762,11 +2658,6 @@ def q_funnel(sf_dir: str):
         })
 
     def pivot(group: pa.Table) -> pa.Table:
-        empty = {"user_id": pa.int64(), "first_view_us": pa.int64(),
-                 "first_click_us": pa.int64(),
-                 "first_purchase_us": pa.int64(), "converted": pa.int64()}
-        if "user_id" not in group.column_names or group.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in empty.items()})
         u = group.column("user_id").to_numpy(zero_copy_only=False)
         c = group.column("step").to_numpy(zero_copy_only=False)
         t = group.column("ts_min").to_numpy(zero_copy_only=False)
@@ -2793,9 +2684,7 @@ def q_funnel(sf_dir: str):
     ev = _read(f"{sf_dir}/events.parquet",
                columns=["user_id", "event_type", "ts"])
     out = (_regroup(ev.map_batches(partial, batch_format="pyarrow")
-                    .map_batches(_mod_bucket("user_id", "ub", empty={
-                        "user_id": pa.int64(), "step": pa.int64(),
-                        "ts_min": pa.int64()}), batch_format="pyarrow"))
+                    .map_batches(_mod_bucket("user_id", "ub"), batch_format="pyarrow"))
            .groupby("ub")
            .map_groups(pivot, batch_format="pyarrow"))
     return _schema_finalize(out, {
@@ -2846,19 +2735,12 @@ def q_events_rank(sf_dir: str):
     pref_ref = ray.put((uniq_rb, offsets))
 
     def add_rb(batch: pa.Table) -> pa.Table:
-        if "event_id" not in batch.column_names:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "ts": pa.array([], pa.timestamp("us")),
-                             "rb": pa.array([], pa.int64())})
         t = batch.column("ts").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         return batch.append_column(
             "rb", pa.array((t // RANGE_US).astype(np.int64)))
 
     def stamp(group: pa.Table) -> pa.Table:
-        if "event_id" not in group.column_names or group.num_rows == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "rank": pa.array([], pa.int64())})
         e = group.column("event_id").to_numpy(zero_copy_only=False)
         t = group.column("ts").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -2897,9 +2779,6 @@ def q_events_sorted_head(sf_dir: str):
     ev = _read(f"{sf_dir}/events.parquet", columns=["event_id", "ts"])
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if "event_id" not in batch.column_names:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "ts_us": pa.array([], pa.int64())})
         return pa.table({
             "event_id": batch.column("event_id").cast(pa.int64()),
             "ts_us": batch.column("ts").cast(pa.int64()),
@@ -2938,9 +2817,7 @@ def q_events_asof(sf_dir: str):
             "gap_us": pa.array(prev_gap),
         })
 
-    add_bucket = _mod_bucket("user_id", empty={
-        "event_id": pa.int64(), "ts": pa.timestamp("us"),
-        "user_id": pa.int64()})
+    add_bucket = _mod_bucket("user_id")
     return (
         _regroup(_read(f"{sf_dir}/events.parquet",
                        columns=["event_id", "ts", "user_id"])
@@ -3009,9 +2886,6 @@ def q_emb_dedup_clusters(sf_dir: str):
     out = connected_components_ds(q_emb_neardup(sf_dir))
 
     def rename(batch: pa.Table) -> pa.Table:
-        if "doc_id" not in batch.column_names:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "cluster_id": pa.array([], pa.int64())})
         return pa.table({"vec_id": batch.column("doc_id"),
                          "cluster_id": batch.column("cluster_id")})
 
@@ -3289,9 +3163,7 @@ def q_orders_lineitem_join(sf_dir: str):
             "is_order": pa.array(np.ones(n, dtype=bool)),
         })
 
-    jbucket = _mod_bucket("okey", "jb", empty={
-        "okey": pa.int64(), "priority": pa.string(), "n": pa.int64(),
-        "rev": pa.int64(), "is_order": pa.bool_()})
+    jbucket = _mod_bucket("okey", "jb")
 
     def join_group(group: pa.Table) -> pa.Table:
         iso = group.column("is_order").to_numpy(zero_copy_only=False)
@@ -3378,9 +3250,7 @@ def q_orders_lineitem_join_native(sf_dir: str):
                                  "n_lines", "revenue_cents"])
 
     out = (joined.map_batches(
-        _mod_bucket("o_orderkey", "jb", empty={
-            "o_orderkey": pa.int64(), "o_orderpriority": pa.string(),
-            "n_lines": pa.int64(), "revenue_cents": pa.int64()}),
+        _mod_bucket("o_orderkey", "jb"),
         batch_format="pyarrow")
         .groupby("jb")
         .map_groups(final, batch_format="pyarrow"))
@@ -3468,10 +3338,7 @@ def q_urgent_revenue_bloom(sf_dir: str):
         return g.rename_columns(["l_linestatus", "n_lines", "revenue_cents"])
 
     bucketed = (_regroup(li.union(okeys)
-                         .map_batches(_mod_bucket("key", "jb", empty={
-                             "key": pa.int64(), "l_linestatus": pa.string(),
-                             "is_order": pa.bool_(), "n_lines": pa.int64(),
-                             "revenue_cents": pa.int64()}),
+                         .map_batches(_mod_bucket("key", "jb"),
                              batch_format="pyarrow"), 0.25)
                 .groupby("jb")
                 .map_groups(verify_agg, batch_format="pyarrow"))
@@ -3563,8 +3430,6 @@ def q_lang_centroid(sf_dir: str):
              "sum_q": pa.int64(), "n_vecs": pa.int64()}
 
     def centroid_partial(group: pa.Table) -> pa.Table:
-        if "id" not in group.column_names or group.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in EMPTY.items()})
         isd = group.column("is_doc").to_numpy(zero_copy_only=False)
         ids = group.column("id").to_numpy(zero_copy_only=False)
         docs = group.filter(pa.array(isd))
@@ -3599,10 +3464,7 @@ def q_lang_centroid(sf_dir: str):
     docs = _docs(sf_dir, ["doc_id", "lang"]
                  ).map_batches(d_rows, batch_format="pyarrow")
     partials = (_regroup(emb.union(docs)
-                         .map_batches(_mod_bucket("id", "ib", empty={
-                             "id": pa.int64(), "lang": pa.string(),
-                             "embedding": pa.list_(pa.float32()),
-                             "is_doc": pa.bool_()}),
+                         .map_batches(_mod_bucket("id", "ib"),
                              batch_format="pyarrow"), 0.25)
                 .groupby("ib")
                 .map_groups(centroid_partial, batch_format="pyarrow"))
@@ -3652,12 +3514,6 @@ def q_best_per_source(sf_dir: str):
         return src[win], d[win], nc[win]
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"source": pa.array([], pa.string()),
-                          "doc_id": pa.array([], pa.int64()),
-                          "n_chars": pa.array([], pa.int64()),
-                          "sb": pa.array([], pa.int64())})
-        if "source" not in batch.column_names or batch.num_rows == 0:
-            return empty
         src = batch.column("source").to_numpy(zero_copy_only=False)
         d = batch.column("doc_id").to_numpy(zero_copy_only=False)
         nc = batch.column("n_chars").to_numpy(zero_copy_only=False)
@@ -3669,10 +3525,6 @@ def q_best_per_source(sf_dir: str):
                          "sb": pa.array(sb.astype(np.int64))})
 
     def final(group: pa.Table) -> pa.Table:
-        if "source" not in group.column_names or group.num_rows == 0:
-            return pa.table({"source": pa.array([], pa.string()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "n_chars": pa.array([], pa.int64())})
         src = group.column("source").to_numpy(zero_copy_only=False)
         d = group.column("doc_id").to_numpy(zero_copy_only=False)
         nc = group.column("n_chars").to_numpy(zero_copy_only=False)
@@ -3755,11 +3607,6 @@ def q_customer_revenue(sf_dir: str):
     def join_orders(group: pa.Table) -> pa.Table:
         """co-group on okey bucket: lineitem partials x orders ->
         per-CUSTKEY partials (combiner for the next exchange)."""
-        empty = pa.table({"ckey": pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64()),
-                          "rev": pa.array([], pa.int64())})
-        if "okey" not in group.column_names or group.num_rows == 0:
-            return empty
         iso = group.column("is_order").to_numpy(zero_copy_only=False)
         okey = group.column("okey").to_numpy(zero_copy_only=False)
         n = group.column("n").to_numpy(zero_copy_only=False)
@@ -3779,14 +3626,6 @@ def q_customer_revenue(sf_dir: str):
     def cust_partial(batch: pa.Table) -> pa.Table:
         """tag sides for the custkey co-group under ONE schema."""
         if "ckey" in batch.column_names:      # revenue partial side
-            if batch.num_rows == 0:
-                return pa.table({
-                    "ckey": pa.array([], pa.int64()),
-                    "name": pa.array([], pa.string()),
-                    "nationkey": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "rev": pa.array([], pa.int64()),
-                    "is_cust": pa.array([], pa.bool_())})
             m = batch.num_rows
             return pa.table({
                 "ckey": batch.column("ckey"),
@@ -3795,14 +3634,6 @@ def q_customer_revenue(sf_dir: str):
                 "n": batch.column("n"),
                 "rev": batch.column("rev"),
                 "is_cust": pa.array(np.zeros(m, dtype=bool))})
-        if "c_custkey" not in batch.column_names:  # zero-column block
-            return pa.table({
-                "ckey": pa.array([], pa.int64()),
-                "name": pa.array([], pa.string()),
-                "nationkey": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "rev": pa.array([], pa.int64()),
-                "is_cust": pa.array([], pa.bool_())})
         m = batch.num_rows                    # customer side
         return pa.table({
             "ckey": batch.column("c_custkey").cast(pa.int64()),
@@ -3813,13 +3644,6 @@ def q_customer_revenue(sf_dir: str):
             "is_cust": pa.array(np.ones(m, dtype=bool))})
 
     def join_customer(group: pa.Table) -> pa.Table:
-        empty = pa.table({"c_custkey": pa.array([], pa.int64()),
-                          "c_name": pa.array([], pa.string()),
-                          "nationkey": pa.array([], pa.int64()),
-                          "n_items": pa.array([], pa.int64()),
-                          "revenue_cents": pa.array([], pa.int64())})
-        if "ckey" not in group.column_names or group.num_rows == 0:
-            return empty
         isc = group.column("is_cust").to_numpy(zero_copy_only=False)
         key = group.column("ckey").to_numpy(zero_copy_only=False)
         n = group.column("n").to_numpy(zero_copy_only=False)
@@ -3841,12 +3665,6 @@ def q_customer_revenue(sf_dir: str):
     K = 20
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        if "c_custkey" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "c_name": pa.array([], pa.string()),
-                             "nationkey": pa.array([], pa.int64()),
-                             "n_items": pa.array([], pa.int64()),
-                             "revenue_cents": pa.array([], pa.int64())})
         rev = batch.column("revenue_cents").to_numpy(zero_copy_only=False)
         ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
         order = np.lexsort((ck, -rev))[:K]
@@ -3860,10 +3678,7 @@ def q_customer_revenue(sf_dir: str):
                    columns=["o_orderkey", "o_custkey"]
                    ).map_batches(o_rows, batch_format="pyarrow")
     by_cust = (_regroup(lpart.union(orders)
-                        .map_batches(_mod_bucket("okey", "jb", empty={
-                            "okey": pa.int64(), "ckey": pa.int64(),
-                            "n": pa.int64(), "rev": pa.int64(),
-                            "is_order": pa.bool_()}),
+                        .map_batches(_mod_bucket("okey", "jb"),
                             batch_format="pyarrow"), 0.25)
                .groupby("jb")
                .map_groups(join_orders, batch_format="pyarrow"))
@@ -3875,10 +3690,7 @@ def q_customer_revenue(sf_dir: str):
     rev_side = by_cust.map_batches(cust_partial, batch_format="pyarrow")
     cust_side = cust.map_batches(cust_partial, batch_format="pyarrow")
     per_customer = (_regroup(rev_side.union(cust_side)
-                             .map_batches(_mod_bucket("ckey", "cb", empty={
-                                 "ckey": pa.int64(), "name": pa.string(),
-                                 "nationkey": pa.int64(), "n": pa.int64(),
-                                 "rev": pa.int64(), "is_cust": pa.bool_()}),
+                             .map_batches(_mod_bucket("ckey", "cb"),
                                  batch_format="pyarrow"), 0.25)
                     .groupby("cb")
                     .map_groups(join_customer, batch_format="pyarrow"))
@@ -3983,7 +3795,7 @@ def _fresh_counts_spec(prefix: str):
     spec = JobSpec(path=os.path.join(base, "counts.zarr"), zoom=ZOOM,
                    bounds=(-180.0, -90.0, 180.0, 90.0), bands=1,
                    dtype="int32", nodata=0)
-    ZarrTileStore(spec, compressor=_store_compressor()).initialize()
+    ZarrTileStore(spec).initialize()
     spec_ref = ray.put(spec)  # broadcast once; actors rebuild the handle
     return base, spec, spec_ref
 
@@ -4007,8 +3819,6 @@ def _write_counts_archive(sf_dir: str, drop_mod: int | None = None):
     docs = _docs(sf_dir, ["doc_id"])
     if drop_mod is not None:
         def keep(batch: pa.Table) -> pa.Table:
-            if "doc_id" not in batch.column_names:
-                return batch
             d = batch.column("doc_id").to_numpy(zero_copy_only=False)
             return batch.filter(pa.array(d % drop_mod != 0))
         docs = docs.map_batches(keep, batch_format="pyarrow")
@@ -4150,8 +3960,7 @@ def q_pyramid_roundtrip(sf_dir: str):
     spec, _spec_ref, _written = _write_counts_archive(sf_dir)
     z4_path = os.path.join(os.path.dirname(spec.path), "counts_z4.zarr")
     # consuming the step's Dataset is the write barrier
-    collect_table(run_pyramid_step(spec.path, z4_path, how="sum",
-                                   compressor=_store_compressor()))
+    collect_table(run_pyramid_step(spec.path, z4_path, how="sum"))
 
     from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
 
@@ -4201,8 +4010,7 @@ def q_pyramid_chain(sf_dir: str):
     from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
 
     spec, _spec_ref, _written = _write_counts_archive(sf_dir)
-    levels = run_pyramid_chain(spec.path, min_zoom=2, how="sum",
-                               compressor=_store_compressor())
+    levels = run_pyramid_chain(spec.path, min_zoom=2, how="sum")
     assert [lv["zoom"] for lv in levels] == [4, 3, 2]
     z2_spec = spec_from_archive(levels[-1]["path"])
     z2_store = ZarrTileStore(z2_spec)
@@ -4265,10 +4073,6 @@ def q_frame_sample(sf_dir: str):
     )
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if "id" not in batch.column_names:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "frame_idx": pa.array([], pa.int64()),
-                             "frame_text": pa.array([], pa.string())})
         return pa.table({
             "doc_id": batch.column("id"),
             "frame_idx": batch.column("frame_idx"),
@@ -4335,7 +4139,7 @@ def q_store_roundtrip_time(sf_dir: str):
                    dtype="int32", nodata=0,
                    time={"start": STEPS[0], "end": STEPS[-1],
                          "steps": STEPS, "chunksize": 2})
-    ZarrTileStore(spec, compressor=_store_compressor()).initialize()
+    ZarrTileStore(spec).initialize()
     spec_ref = ray.put(spec)
 
     def per_tile_time_counts(store, sp, row, col, seg: pa.Table) -> None:
@@ -4514,11 +4318,6 @@ def q_price_quantile_sketch(sf_dir: str):
         return np.floor(p * 100).astype(np.int64)
 
     def mmc(batch: pa.Table) -> pa.Table:
-        if ("l_extendedprice" not in batch.column_names
-                or batch.num_rows == 0):
-            return pa.table({"mn": pa.array([], pa.int64()),
-                             "mx": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
         c = cents_of(batch)
         return pa.table({"mn": pa.array([int(c.min())], pa.int64()),
                          "mx": pa.array([int(c.max())], pa.int64()),
@@ -4539,10 +4338,6 @@ def q_price_quantile_sketch(sf_dir: str):
     def bins(batch: pa.Table) -> pa.Table:
         from mapchete_xarray_ray.nputil import group_sum
 
-        if ("l_extendedprice" not in batch.column_names
-                or batch.num_rows == 0):
-            return pa.table({"bin": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
         c = cents_of(batch)
         b = (c - mn) * B // width
         uniq, cnt = group_sum(b, np.ones(len(b), np.int64))
@@ -4662,9 +4457,7 @@ def q_events_dedup_horizon(sf_dir: str):
                          "user_id": pa.array(uid[keep], pa.int64()),
                          "event_type": pa.array(et[keep], pa.string())})
 
-    add_bucket = _mod_bucket("user_id", empty={
-        "event_id": pa.int64(), "ts": pa.timestamp("us"),
-        "user_id": pa.int64(), "event_type": pa.string()})
+    add_bucket = _mod_bucket("user_id")
     return (
         _regroup(_read(f"{sf_dir}/events.parquet",
                        columns=["event_id", "ts", "user_id", "event_type"])
@@ -4705,13 +4498,6 @@ def q_lineitem_rollup(sf_dir: str):
 
     def rollup(batch: pa.Table) -> pa.Table:
         # derive all three levels from the finest aggregate (tiny)
-        if "l_returnflag" not in batch.column_names or batch.num_rows == 0:
-            # SQL ROLLUP emits the () grouping-set row even over an
-            # empty input: sum=NULL, count=0
-            return pa.table({"l_returnflag": pa.array(["ALL"], pa.string()),
-                             "l_linestatus": pa.array(["ALL"], pa.string()),
-                             "revenue_cents": pa.array([None], pa.int64()),
-                             "n_rows": pa.array([0], pa.int64())})
         base = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
             [("rev", "sum"), ("n", "sum")]).rename_columns(
             ["l_returnflag", "l_linestatus", "rev", "n"])
@@ -4905,8 +4691,6 @@ def q_inverted_index(sf_dir: str):
                       "tb": pa.array([], pa.int64())})
 
     def doc_term_pairs(batch: pa.Table) -> pa.Table:
-        if "text" not in batch.column_names or batch.num_rows == 0:
-            return EMPTY
         trimmed = trim_ws(batch.column("text"))
         keep = pc.not_equal(trimmed, "")
         doc = batch.column("doc_id").filter(keep)
@@ -4928,8 +4712,6 @@ def q_inverted_index(sf_dir: str):
         out_empty = pa.table({"term": pa.array([], pa.string()),
                               "df": pa.array([], pa.int64()),
                               "postings": pa.array([], pa.string())})
-        if group.num_rows == 0 or "term" not in group.column_names:
-            return out_empty
         terms = group.column("term").to_numpy(zero_copy_only=False)
         docs = group.column("doc_id").to_numpy(zero_copy_only=False)
         o = np.lexsort((docs, terms))
@@ -5070,8 +4852,6 @@ def q_decontaminate(sf_dir: str):
     def contaminated(batch: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "hit_grams": pa.array([], pa.int64())})
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         d, grams = _doc_gram_pairs(batch.filter(_mod_mask(batch, False)), N)
         if len(d) == 0:
             return empty
@@ -5115,8 +4895,6 @@ def _doc_chunk_pairs(batch: pa.Table, c: int) -> tuple:
     from mapchete_xarray_ray.stages.text import trim_ws
 
     empty = (pa.array([], pa.int64()), pa.array([], pa.string()))
-    if "text" not in batch.column_names or batch.num_rows == 0:
-        return empty
     trimmed = trim_ws(batch.column("text"))
     keep = pc.not_equal(trimmed, "")
     doc = batch.column("doc_id").filter(keep)
@@ -5242,18 +5020,9 @@ def q_props_rollup(sf_dir: str):
     events = _read(f"{sf_dir}/events.parquet",
                    ["event_type", "props", "value"])
 
-    EMPTY = {"event_type": pa.array([], pa.string()),
-             "n_events": pa.array([], pa.int64()),
-             "sum_k": pa.array([], pa.int64()),
-             "min_k": pa.array([], pa.int64()),
-             "max_k": pa.array([], pa.int64()),
-             "sum_value_micros": pa.array([], pa.int64())}
-
     def partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "event_type" not in batch.column_names or batch.num_rows == 0:
-            return pa.table(EMPTY)
         ext = pc.extract_regex(batch.column("props").combine_chunks(),
                                r'"k"\s*:\s*(?P<k>-?\d+)')
         k = pc.struct_field(ext, "k").cast(pa.int64())
@@ -5276,8 +5045,6 @@ def q_props_rollup(sf_dir: str):
     def fold(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "event_type" not in group.column_names or group.num_rows == 0:
-            return pa.table(EMPTY)
         return pa.table({
             "event_type": group.column("event_type").slice(0, 1),
             "n_events": pa.array(
@@ -5341,18 +5108,9 @@ def q_lang_len_quantiles(sf_dir: str):
     excluded on both sides (lang_rebalance contract)."""
     docs = _docs(sf_dir, ["lang", "n_chars"])
 
-    EMPTY = {"lang": pa.array([], pa.string()),
-             "n_docs": pa.array([], pa.int64()),
-             "median_len": pa.array([], pa.int64()),
-             "p90_len": pa.array([], pa.int64())}
-
     def partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "lang" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"lang": pa.array([], pa.string()),
-                             "len": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
         g = (pa.table({"lang": batch.column("lang"),
                        "len": batch.column("n_chars").cast(pa.int64())})
              .filter(pc.is_valid(batch.column("lang")))
@@ -5362,8 +5120,6 @@ def q_lang_len_quantiles(sf_dir: str):
                          "cnt": g.column("count_all").cast(pa.int64())})
 
     def fold(group: pa.Table) -> pa.Table:
-        if "lang" not in group.column_names or group.num_rows == 0:
-            return pa.table(EMPTY)
         lens = group.column("len").to_numpy(zero_copy_only=False)
         cnts = group.column("cnt").to_numpy(zero_copy_only=False)
         ulen, ucnt = group_sum(lens, cnts)  # ascending lens
@@ -5425,10 +5181,6 @@ def q_kmeans(sf_dir: str):
                         * 1e6).astype(np.int64)
 
     def init_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_id": pa.array([], pa.int64()),
-                          "xq": pa.array([], pa.list_(pa.int64()))})
-        if "vec_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         order = np.argsort(ids)[:K]
         xq = _quant(batch)[order]
@@ -5444,11 +5196,6 @@ def q_kmeans(sf_dir: str):
 
     def round_partial(ref):
         def fn(batch: pa.Table) -> pa.Table:
-            empty = pa.table({"cl": pa.array([], pa.int64()),
-                              "cnt": pa.array([], pa.int64()),
-                              "sums": pa.array([], pa.list_(pa.int64()))})
-            if "vec_id" not in batch.column_names or batch.num_rows == 0:
-                return empty
             c = ray.get(ref)
             x = _quant(batch)
             d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
@@ -5481,10 +5228,6 @@ def q_kmeans(sf_dir: str):
     ref = ray.put(cent)
 
     def assign(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_id": pa.array([], pa.int64()),
-                          "cluster": pa.array([], pa.int64())})
-        if "vec_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         c = ray.get(ref)
         x = _quant(batch)
         d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
@@ -5557,11 +5300,6 @@ def q_focal_density(sf_dir: str):
     nrows, ncols = 1 << ZOOM, 2 << ZOOM  # geodetic z5: 32 x 64
 
     def scatter(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"rc": pa.array([], pa.int64()),
-                          "contrib": pa.array([], pa.int64()),
-                          "self_n": pa.array([], pa.int64())})
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         batch = assign_doc_ids_fn(ZOOM)(batch)
         g = batch.group_by(["tile_row", "tile_col"]).aggregate(
             [([], "count_all")])
@@ -5586,11 +5324,6 @@ def q_focal_density(sf_dir: str):
     def finalize(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "rc" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"tile_row": pa.array([], pa.int64()),
-                             "tile_col": pa.array([], pa.int64()),
-                             "n_docs": pa.array([], pa.int64()),
-                             "focal_docs": pa.array([], pa.int64())})
         batch = batch.filter(pc.greater(batch.column("self_n"), 0))
         rc = batch.column("rc").to_numpy(zero_copy_only=False)
         return pa.table({
@@ -5700,8 +5433,6 @@ def q_grouping_cube(sf_dir: str):
     def scatter(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "lang" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in SCHEMA.items()})
         g = (pa.table({
                 "lang": pc.coalesce(batch.column("lang"),
                                     pa.scalar("(null)")),
@@ -5899,8 +5630,6 @@ def q_seq_pack(sf_dir: str):
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "n_tokens": pa.array([], pa.int64()),
                           "rb": pa.array([], pa.int64())})
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         keep = pc.not_equal(trim_ws(batch.column("text")), "")
         kept = batch.filter(keep)
         if kept.num_rows == 0:
@@ -5921,9 +5650,6 @@ def q_seq_pack(sf_dir: str):
     counts = docs.map_batches(tok_rb, batch_format="pyarrow").materialize()
 
     def range_sums(batch: pa.Table) -> pa.Table:
-        if "rb" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"rb": pa.array([], pa.int64()),
-                             "tok": pa.array([], pa.int64())})
         uniq, tot = group_sum(
             batch.column("rb").to_numpy(zero_copy_only=False),
             batch.column("n_tokens").to_numpy(zero_copy_only=False))
@@ -5940,11 +5666,6 @@ def q_seq_pack(sf_dir: str):
     pref_ref = ray.put((uniq_rb, offsets))
 
     def stamp(group: pa.Table) -> pa.Table:
-        cols = {"doc_id": pa.int64(), "n_tokens": pa.int64(),
-                "tok_start": pa.int64(), "first_seq": pa.int64(),
-                "last_seq": pa.int64(), "seq_offset": pa.int64()}
-        if "doc_id" not in group.column_names or group.num_rows == 0:
-            return pa.table({n: pa.array([], t) for n, t in cols.items()})
         d = group.column("doc_id").to_numpy(zero_copy_only=False)
         n = group.column("n_tokens").to_numpy(zero_copy_only=False)
         ranges, prefix = ray.get(pref_ref)
@@ -6019,9 +5740,6 @@ def q_lang_rebalance(sf_dir: str):
     def lang_counts(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "lang" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"lang": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
         # NULL lang drops out, matching the twin's JOIN USING (lang)
         g = (pa.table({"lang": batch.column("lang")})
              .filter(pc.is_valid(batch.column("lang")))
@@ -6051,8 +5769,6 @@ def q_lang_rebalance(sf_dir: str):
 
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "lang": pa.array([], pa.string())})
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         # NULL lang drops out here too (twin: inner JOIN USING (lang))
         batch = batch.filter(pc.is_valid(batch.column("lang")))
         if batch.num_rows == 0:
@@ -6115,12 +5831,6 @@ def q_centroid_classify(sf_dir: str):
                 columns=["vec_id", "embedding", "label"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"label": pa.array([], pa.int64()),
-                          "dim": pa.array([], pa.int64()),
-                          "sum_q": pa.array([], pa.int64()),
-                          "n_vecs": pa.array([], pa.int64())})
-        if "vec_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         lab = batch.column("label").cast(pa.int64()).to_numpy(
             zero_copy_only=False)
         q = np.floor(_embedding_matrix(batch, "embedding")
@@ -6169,8 +5879,6 @@ def q_centroid_classify(sf_dir: str):
                           "label": pa.array([], pa.int64()),
                           "pred_label": pa.array([], pa.int64()),
                           "correct": pa.array([], pa.int64())})
-        if "vec_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         labels, sum_mat, cnts_f = ray.get(cent_ref)
         if len(labels) == 0:  # empty corpus -> nothing to classify
             return empty
@@ -6263,8 +5971,6 @@ def _learn_bpe(sf_dir: str, rounds: int = 3):
         def fn(batch: pa.Table) -> pa.Table:
             empty = pa.table({"pair": pa.array([], pa.string()),
                               "cnt": pa.array([], pa.int64())})
-            if "text" not in batch.column_names or batch.num_rows == 0:
-                return empty
             _keep, words, _nw, _raw = _tokenize_words(batch, merge_list)
             # sort words longest-first ONCE so window i only slices the
             # prefix of words long enough to have a pair there — total
@@ -6356,8 +6062,6 @@ def q_bpe_encode(sf_dir: str):
                           "n_tokens": pa.array([], pa.int64()),
                           "n_symbols": pa.array([], pa.int64()),
                           "n_raw_chars": pa.array([], pa.int64())})
-        if "text" not in batch.column_names or batch.num_rows == 0:
-            return empty
         keep, words, n_words, raw = _tokenize_words(batch, merges)
         doc = batch.column("doc_id").filter(keep)
         if len(doc) == 0:
@@ -6475,8 +6179,6 @@ def q_repetition(sf_dir: str):
                           "n_bigrams": pa.array([], pa.int64()),
                           "top_bigram_cnt": pa.array([], pa.int64()),
                           "keep": pa.array([], pa.int64())})
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         d, grams = _doc_gram_pairs(batch, 2, distinct=False)
         if len(d) == 0:
             return empty
@@ -6539,8 +6241,6 @@ def q_top_terms_df(sf_dir: str):
                       "tb": pa.array([], pa.int64())})
 
     def partial_df(batch: pa.Table) -> pa.Table:
-        if "text" not in batch.column_names or batch.num_rows == 0:
-            return EMPTY
         from mapchete_xarray_ray.stages.text import trim_ws
 
         trimmed = trim_ws(batch.column("text"))
@@ -6669,8 +6369,6 @@ def q_tfidf_topk(sf_dir: str):
 
     def tf_stage(batch: pa.Table) -> pa.Table:
         empty = pa.table({n: pa.array([], t) for n, t in EMPTY_TF.items()})
-        if "text" not in batch.column_names or batch.num_rows == 0:
-            return empty
         trimmed = trim_ws(batch.column("text"))
         keep = pc.not_equal(trimmed, "")
         doc = batch.column("doc_id").filter(keep)
@@ -6737,10 +6435,6 @@ def q_tfidf_topk(sf_dir: str):
         })
 
     def topk_stage(group: pa.Table) -> pa.Table:
-        if "doc_id" not in group.column_names or group.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "term": pa.array([], pa.string()),
-                             "tfidf": pa.array([], pa.float64())})
         d = group.column("doc_id").to_numpy(zero_copy_only=False)
         terms = group.column("term").to_numpy(zero_copy_only=False)
         score = group.column("tfidf").to_numpy(zero_copy_only=False)
@@ -6827,11 +6521,6 @@ def q_top_users_per_type(sf_dir: str):
                          "n": pa.array(n.astype(np.int64))})
 
     def final_topk(batch: pa.Table) -> pa.Table:
-        if "event_type" not in batch.column_names:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "user_id": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "rank": pa.array([], pa.int64())})
         et, uid, n, rank = _rank_topk(
             batch.column("event_type").to_numpy(zero_copy_only=False),
             batch.column("user_id").to_numpy(zero_copy_only=False),
@@ -7045,8 +6734,8 @@ INTEROP_QUERIES: dict[str, str] = {
 def _wrap(fn):
     import functools
 
-    @functools.wraps(fn)  # sets __wrapped__: profile_query needs the
-    def wrapped(sf_dir: str):  # Dataset-returning original
+    @functools.wraps(fn)
+    def wrapped(sf_dir: str):
         return collect_table(fn(sf_dir))
 
     return wrapped

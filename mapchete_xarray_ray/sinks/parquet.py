@@ -82,10 +82,6 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
     done_ref = ray.put(np.array(sorted(done), dtype=object))
 
     def bucket_stage(batch: pa.Table) -> pa.Table:
-        if partition_col not in batch.column_names:
-            # upstream groupby stages can emit zero-column blocks for
-            # empty partitions
-            return pa.table({"__pb": pa.array([], pa.int64())})
         vals = batch.column(partition_col).to_numpy(zero_copy_only=False)
         done_vals = ray.get(done_ref)
         if len(done_vals):
@@ -105,9 +101,6 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
         return batch.append_column("__pb", pa.array(h))
 
     def write_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or partition_col not in group.column_names:
-            return pa.table({"partition": pa.array([], pa.string()),
-                             "n_rows": pa.array([], pa.int64())})
         group = group.drop_columns(["__pb"])
         vals = group.column(partition_col).to_numpy(
             zero_copy_only=False).astype(str)

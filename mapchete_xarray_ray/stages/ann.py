@@ -123,11 +123,6 @@ def brute_topk_stage(query_ref, k: int, id_col: str = "vec_id",
 def _add_id_bucket(batch: pa.Table) -> pa.Table:
     """Coarse merge key: one python group-call per BUCKET (id % 64),
     not per query — the repo's measured ~30ms/group dispatch rule."""
-    if "vec_id" not in batch.column_names:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "neighbor_id": pa.array([], pa.int64()),
-                         "cosine": pa.array([], pa.float64()),
-                         "id_bucket": pa.array([], pa.int64())})
     b = batch.column("vec_id").to_numpy() % 64
     return batch.append_column("id_bucket", pa.array(b.astype(np.int64)))
 
@@ -247,12 +242,6 @@ def kmeans_refine_distributed(corpus: "ray.data.Dataset",
 
         def partial(batch: pa.Table) -> pa.Table:
             c = ray.get(ref)
-            if emb_col not in batch.column_names or batch.num_rows == 0:
-                return pa.table({
-                    "cluster": pa.array([], pa.int64()),
-                    "vec_sum": pa.array([], pa.list_(pa.float64())),
-                    "n": pa.array([], pa.int64()),
-                })
             m = normalize_rows(_embedding_matrix(batch, emb_col))
             assign = np.argmax(m @ c.T, axis=1)
             sums = np.zeros((len(c), c.shape[1]), dtype=np.float64)
@@ -582,9 +571,6 @@ def pq_encode_stage(books_ref, id_col: str = "vec_id",
     shipped as plain Arrow ints, no per-row python."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        if id_col not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "code": pa.array([], pa.int64())})
         books = ray.get(books_ref)
         mat = normalize_rows(_embedding_matrix(batch, emb_col))
         codes = pq_assign(mat, books).astype(np.uint64)
@@ -630,11 +616,6 @@ def pq_scan_stage(books_ref, codes_ref, k: int, id_col: str = "vec_id",
                 np.take_along_axis(ids2, order, axis=1))
 
     def fn(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "rank": pa.array([], pa.int64())})
-        if id_col not in batch.column_names or batch.num_rows == 0:
-            return empty
         books = ray.get(books_ref)
         c_ids, c_codes = ray.get(codes_ref)
         m_sub, _kk, ds = books.shape
@@ -744,10 +725,6 @@ def hash_init_vectors(corpus: "ray.data.Dataset", n: int,
     the row position."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        if id_col not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"h": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "eq": pa.array([], pa.list_(pa.int64()))})
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         if len(ids) and ids.min() < 0:
             raise ValueError("hash init requires non-negative vec ids "
@@ -815,12 +792,6 @@ def ivf_train_int(corpus: "ray.data.Dataset", n_clusters: int = 16,
 
         def partial(batch: pa.Table) -> pa.Table:
             c = ray.get(ref)
-            if emb_col not in batch.column_names or batch.num_rows == 0:
-                return pa.table({
-                    "cluster": pa.array([], pa.int64()),
-                    "vec_sum": pa.array([], pa.list_(pa.int64())),
-                    "n": pa.array([], pa.int64()),
-                })
             mq = quantize_q(_embedding_matrix(batch, emb_col))
             assign = np.argmax(mq @ c.T, axis=1)  # first max == lowest c
             sums = np.zeros((len(c), c.shape[1]), dtype=np.int64)
@@ -952,13 +923,6 @@ def pq_train_int(corpus: "ray.data.Dataset", dim: int, m_sub: int = 8,
 
         def partial(batch: pa.Table) -> pa.Table:
             bks = ray.get(ref)
-            if emb_col not in batch.column_names or batch.num_rows == 0:
-                return pa.table({
-                    "m": pa.array([], pa.int64()),
-                    "k": pa.array([], pa.int64()),
-                    "vec_sum": pa.array([], pa.list_(pa.int64())),
-                    "n": pa.array([], pa.int64()),
-                })
             mq = quantize_q(_embedding_matrix(batch, emb_col))
             out_m, out_k, out_s, out_n = [], [], [], []
             for m in range(len(bks)):
@@ -1052,11 +1016,6 @@ def pq_int_scan_stage(books_ref, codes_ref, k: int,
                 np.take_along_axis(ids2, order, axis=1))
 
     def fn(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "rank": pa.array([], pa.int64())})
-        if id_col not in batch.column_names or batch.num_rows == 0:
-            return empty
         books = ray.get(books_ref)
         c_ids, c_codes = ray.get(codes_ref)
         m_sub, _kk, ds_ = books.shape
@@ -1105,9 +1064,6 @@ def ann_pq_int_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
     ds_ = dim // m_sub
 
     def encode(batch: pa.Table) -> pa.Table:
-        if "vec_id" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "code": pa.array([], pa.list_(pa.int64()))})
         bks = ray.get(books_ref)
         mq = quantize_q(_embedding_matrix(batch, "embedding"))
         codes = pq_assign_int(mq, bks)

@@ -89,8 +89,6 @@ def bloom_prune_stage(words_ref, m_bits: int, col: str, k: int = 4):
     import ray
 
     def fn(batch: pa.Table) -> pa.Table:
-        if col not in batch.column_names or batch.num_rows == 0:
-            return batch
         words = ray.get(words_ref)
         keys = batch.column(col).to_numpy(zero_copy_only=False)
         return batch.filter(pa.array(bloom_contains(words, m_bits, keys, k)))

@@ -618,9 +618,6 @@ def pack_pids_stage(batch: pa.Table) -> pa.Table:
     """(id_a, id_b) -> packed pid with the id-domain guard applied
     BEFORE packing (an out-of-domain id would otherwise pack/unpack to
     a silently different pair)."""
-    if "id_a" not in batch.column_names or batch.num_rows == 0:
-        return pa.table({"pid": pa.array([], pa.int64()),
-                         "pb": pa.array([], pa.int64())})
     a = batch.column("id_a").to_numpy(zero_copy_only=False)
     b = batch.column("id_b").to_numpy(zero_copy_only=False)
     if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= 2**31:
@@ -659,9 +656,6 @@ def candidate_id_set(pids: "ray.data.Dataset") -> np.ndarray:
     from mapchete_xarray_ray.scale import nblocks_for_cluster
 
     def id_rows(batch: pa.Table) -> pa.Table:
-        if "pid" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "db": pa.array([], pa.int64())})
         pid = batch.column("pid").to_numpy(zero_copy_only=False)
         ids = np.unique(np.concatenate([pid >> np.int64(31),
                                         pid & _PID_MASK]))
@@ -705,14 +699,8 @@ def attach_pair_values(pids: "ray.data.Dataset", values: "ray.data.Dataset",
 
     nblocks = nblocks or nblocks_for_cluster(0.125)
     ids_ref = ray.put(candidate_id_set(pids))
-    null_value = pa.nulls(0, value_type)
 
     def pair_ref_rows(batch: pa.Table) -> pa.Table:
-        if "pid" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"pid": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "side": pa.array([], pa.int64()),
-                             value_col: null_value})
         pid = batch.column("pid").to_numpy(zero_copy_only=False)
         n = len(pid)
         return pa.table({
@@ -738,12 +726,6 @@ def attach_pair_values(pids: "ray.data.Dataset", values: "ray.data.Dataset",
         })
 
     def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"pid": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "side": pa.array([], pa.int64()),
-                             value_col: null_value,
-                             "db": pa.array([], pa.int64())})
         d = batch.column("doc_id").to_numpy(zero_copy_only=False) % 64
         return batch.append_column("db", pa.array(d.astype(np.int64)))
 
@@ -827,10 +809,6 @@ def connected_components_ds(pairs: "ray.data.Dataset", max_rounds: int = 50,
     nblocks = nblocks or nblocks_for_cluster(0.125)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
-        if "id_a" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int64())})
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
         b = batch.column("id_b").to_numpy(zero_copy_only=False)
         return pa.table({
@@ -840,21 +818,12 @@ def connected_components_ds(pairs: "ray.data.Dataset", max_rounds: int = 50,
         })
 
     def init_labels(batch: pa.Table) -> pa.Table:
-        if "key" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int64())})
         k = batch.column("key").to_numpy(zero_copy_only=False)
         return pa.table({"key": pa.array(k, pa.int64()),
                          "val": pa.array(k, pa.int64()),
                          "kind": pa.array(np.zeros(len(k), dtype=np.int64))})
 
     def add_kb(batch: pa.Table) -> pa.Table:
-        if "key" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int64()),
-                             "kb": pa.array([], pa.int64())})
         k = batch.column("key").to_numpy(zero_copy_only=False) % 64
         return batch.append_column("kb", pa.array(k.astype(np.int64)))
 
@@ -946,10 +915,6 @@ def connected_components_ds(pairs: "ray.data.Dataset", max_rounds: int = 50,
         current labels: propagating along them moves label(label(v))
         to v in one round, giving O(log diameter) convergence on long
         chains instead of O(diameter)."""
-        if "key" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.int64())})
         k = batch.column("key").to_numpy(zero_copy_only=False)
         v = batch.column("val").to_numpy(zero_copy_only=False)
         m = k != v
@@ -975,17 +940,13 @@ def connected_components_ds(pairs: "ray.data.Dataset", max_rounds: int = 50,
         # to the driver (streaming the label table itself through the
         # driver would make it the bandwidth bottleneck at scale)
         changed = stepped.map_batches(
-            lambda b: pa.table({"changed": (
-                b.column("changed") if "changed" in b.column_names
-                else pa.array([], pa.int64()))}),
+            lambda b: b.select(["changed"]),
             batch_format="pyarrow").sum("changed") or 0
         # lazy column drop over the MATERIALIZED step result: consumers
         # re-run only this trivial projection, not the round's shuffles
         # (a second materialize here measured as pure overhead)
         labels = stepped.map_batches(
-            lambda b: (b.drop_columns(["changed"])
-                       if "changed" in b.column_names else b),
-            batch_format="pyarrow")
+            lambda b: b.drop_columns(["changed"]), batch_format="pyarrow")
         if changed == 0:
             break
     else:
@@ -994,9 +955,6 @@ def connected_components_ds(pairs: "ray.data.Dataset", max_rounds: int = 50,
             "rounds — raise max_rounds")
 
     def finalize(batch: pa.Table) -> pa.Table:
-        if "key" not in batch.column_names or batch.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "cluster_id": pa.array([], pa.int64())})
         return pa.table({"doc_id": batch.column("key"),
                          "cluster_id": batch.column("val")})
 

@@ -229,16 +229,8 @@ def _semi_join_ids(pts: ray.data.Dataset,
     ``id`` column) by id-hash bucket co-group — the no-broadcast path
     for corpus-scale unresolved sets. Keys and points meet inside their
     bucket; the membership test is a bucket-local np.isin."""
-    SCHEMA = {"id": pa.int64(), "x": pa.float64(), "y": pa.float64(),
-              "crow": pa.int64(), "ccol": pa.int64(),
-              "is_key": pa.bool_(), "jb": pa.int64()}
-
-    def _empty():
-        return pa.table({n: pa.array([], t) for n, t in SCHEMA.items()})
 
     def tag_pts(batch: pa.Table) -> pa.Table:
-        if "id" not in batch.column_names or batch.num_rows == 0:
-            return _empty()
         ids = batch.column("id").to_numpy(zero_copy_only=False)
         return pa.table({
             "id": batch.column("id").cast(pa.int64()),
@@ -249,8 +241,6 @@ def _semi_join_ids(pts: ray.data.Dataset,
         })
 
     def tag_keys(batch: pa.Table) -> pa.Table:
-        if "id" not in batch.column_names or batch.num_rows == 0:
-            return _empty()
         ids = np.unique(batch.column("id").to_numpy(zero_copy_only=False))
         z = np.zeros(len(ids))
         return pa.table({
@@ -372,13 +362,6 @@ def knn_pipeline(points: ray.data.Dataset, k: int, cell_span: float,
             cell_partial = cell_partial.union(partial)
 
         def add_bucket(batch: pa.Table) -> pa.Table:
-            if "id" not in batch.column_names:
-                return pa.table({
-                    "id": pa.array([], pa.int64()),
-                    "neighbor_id": pa.array([], pa.int64()),
-                    "dist2": pa.array([], pa.float64()),
-                    "id_bucket": pa.array([], pa.int64()),
-                })
             b = batch.column("id").to_numpy() % _MERGE_BUCKETS
             return batch.append_column("id_bucket", pa.array(b.astype(np.int64)))
 

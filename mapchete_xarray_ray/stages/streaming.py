@@ -232,8 +232,6 @@ def dedup_across_passes(ds, actors, id_col: str = "event_id",
     n = len(actors)
 
     def fn(batch: pa.Table) -> pa.Table:
-        if id_col not in batch.column_names or batch.num_rows == 0:
-            return batch
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         ts = (batch.column(ts_col).cast(pa.int64())
               .to_numpy(zero_copy_only=False) if ts_col else None)

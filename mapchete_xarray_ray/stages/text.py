@@ -285,11 +285,6 @@ class QualityModelStage:
         self.w, self.bias = self._load_weights()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "score": pa.array([], pa.int64()),
-                          "keep": pa.array([], pa.int64())})
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return empty
         feats = quality_stage(batch)
         x = np.stack([feats.column(f).to_numpy(zero_copy_only=False)
                       for f in self.FEATURES], axis=1)

@@ -290,10 +290,27 @@ def test_cron_expansion_general_patterns():
     both = _expand_pattern(datetime(2022, 6, 1), datetime(2022, 6, 30),
                            "0 0 1 * 1")
     assert [d.day for d in both] == [1, 6, 13, 20, 27]
+
+
+@pytest.mark.parametrize("pattern", [
+    "not a cron",
+    "0 0 32 * *",     # out of range
+    "0 0 L * *",      # last day of month
+    "0 0 15W * *",    # nearest weekday
+    "0 0 * * 1#2",    # nth weekday
+    "0 0 ? * *",      # no-specific-value
+    "0 0 1 JAN *",    # month name
+    "0 0 * * MON",    # day name
+    "@daily",         # macro
+])
+def test_cron_rejects_unsupported_forms(pattern):
+    """Forms outside the README's supported cron subset raise."""
+    from datetime import datetime
+
+    from mapchete_xarray_ray.spec import _expand_pattern
+
     with pytest.raises(JobSpecError, match="unsupported"):
-        _expand_pattern(s, e, "not a cron")
-    with pytest.raises(JobSpecError, match="unsupported"):
-        _expand_pattern(s, e, "0 0 32 * *")
+        _expand_pattern(datetime(2022, 6, 1), datetime(2022, 6, 30), pattern)
 
 
 def test_monthly_pattern_archive_reopen(tmp_path):
