@@ -24,6 +24,28 @@ def segments(*keys: np.ndarray):
     return order, starts, ends
 
 
+def segment_pairs(starts: np.ndarray, lens: np.ndarray):
+    """Every pair of rows inside one segment: returns global index
+    arrays ``(i, j)`` with ``i < j`` for each segment ``[starts[s],
+    starts[s] + lens[s])``. Segments come out in ``starts`` order (which
+    must be ascending), each in ``np.triu_indices`` order. Loops over the
+    DISTINCT segment lengths, not the segments: one broadcast of
+    ``starts[:, None] + triu`` per length, then one stable argsort by
+    segment start restores segment order."""
+    parts_i, parts_j, parts_s = [], [], []
+    for L in np.unique(lens[lens >= 2]):
+        st = starts[lens == L][:, None]
+        ia, ib = np.triu_indices(L, k=1)
+        parts_i.append((st + ia).ravel())
+        parts_j.append((st + ib).ravel())
+        parts_s.append(np.repeat(st.ravel(), len(ia)))
+    if not parts_i:
+        z = np.empty(0, dtype=np.int64)
+        return z, z
+    o = np.argsort(np.concatenate(parts_s), kind="stable")
+    return np.concatenate(parts_i)[o], np.concatenate(parts_j)[o]
+
+
 def group_reduce(keys: np.ndarray, *pairs):
     """Vectorized group-by-reduce over sortable keys: each ``pairs``
     entry is ``(ufunc, values)`` (e.g. ``(np.add, x)``,

@@ -71,23 +71,32 @@ def rowwise_topk(key: np.ndarray, q_ids: np.ndarray, c_ids: np.ndarray,
                  k: int):
     """Exact per-row top-k of a (Q, C) key matrix by (key asc,
     candidate_id asc), excluding candidates whose id equals the row's
-    query id. One vectorized lexsort over the whole matrix — no python
-    loop per query (the r1 scale-killer). Returns (q_sel, c_sel, rank):
-    row indices (repeated per kept candidate, in rank order), column
-    indices, and 1-based ranks."""
+    query id. Returns (q_sel, c_sel, rank): row indices (repeated per
+    kept candidate, in rank order), column indices, and 1-based ranks.
+
+    Select, then sort only the survivors — no python loop per query,
+    no full sort of each row: ``np.partition`` finds each row's k-th
+    smallest key, every entry not greater than it survives (ties with
+    the k-th included, and NaN keys, for which ``>`` is False), and one
+    flat lexsort by (row, key, candidate_id) orders the survivors. Excluded candidates sort as +inf and NaN after them,
+    exactly as in a full per-row lexsort, so the result is that sort's
+    first ``min(k, C - n_excluded)`` entries of each row."""
     Q, C = key.shape
     z = np.empty(0, dtype=np.int64)
     if Q == 0 or C == 0:
         return z, z, z
     invalid = q_ids[:, None] == c_ids[None, :]
     s = np.where(invalid, np.inf, key)  # invalid sorts last
-    order = np.lexsort((np.broadcast_to(c_ids, s.shape), s), axis=-1)
     t = np.minimum(k, C - invalid.sum(axis=1))
-    kept = np.arange(C)[None, :] < t[:, None]
-    q_sel = np.repeat(np.arange(Q), t)
-    c_sel = order[kept]  # row-major flatten == rank order within rows
-    rank = np.broadcast_to(np.arange(1, C + 1), (Q, C))[kept]
-    return q_sel, c_sel, rank.astype(np.int64)
+    j = min(k, C) - 1  # k >= C: the row maximum, so every entry survives
+    kth = np.partition(s, j, axis=1)[:, j]
+    flat = np.flatnonzero(~(s > kth[:, None]))  # not `<=`: keeps NaN
+    r, c = np.divmod(flat, C)
+    order = np.lexsort((c_ids[c], s.ravel()[flat], r))
+    r, c = r[order], c[order]
+    rank = np.arange(1, len(r) + 1) - np.searchsorted(r, r)  # r is sorted
+    kept = rank <= t[r]
+    return r[kept], c[kept], rank[kept]
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:

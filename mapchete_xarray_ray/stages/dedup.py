@@ -26,7 +26,7 @@ import ray
 from mapchete_xarray_ray.collect import arrow_block_refs
 
 from mapchete_xarray_ray.functions.geocode import stable_hash64
-from mapchete_xarray_ray.nputil import sorted_lookup
+from mapchete_xarray_ray.nputil import segment_pairs, sorted_lookup
 
 # --- MinHash parameters (fixed; shared with the test oracle) -------------
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -382,6 +382,10 @@ def ppjoin_pairs_bucketed(group: pa.Table, tau: float = 0.5,
       dropped. Applying the test independently per generating gram is
       complete: a qualifying pair's first shared gram always passes,
       and duplicates pruned at later grams are just that — duplicates.
+
+    Every within-gram pair comes from one :func:`nputil.segment_pairs`
+    call (gram order, then posting-list ``triu`` order) and both filters
+    run once over the whole pair array — no python loop per gram.
     """
     k = group.column("gram_hash").to_numpy(zero_copy_only=False)
     ids = group.column(id_col).to_numpy(zero_copy_only=False)
@@ -392,28 +396,15 @@ def ppjoin_pairs_bucketed(group: pa.Table, tau: float = 0.5,
     new = np.ones(len(k), dtype=bool)
     new[1:] = k[1:] != k[:-1]
     starts = np.flatnonzero(new)
-    lens = np.diff(np.append(starts, len(k)))
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    for s, L in zip(starts[lens >= 2], lens[lens >= 2]):
-        ia, ib = np.triu_indices(L, k=1)
-        A, B = ids[s:s + L][ia], ids[s:s + L][ib]
-        na, nb = n[s:s + L][ia], n[s:s + L][ib]
-        ra, rb = r[s:s + L][ia], r[s:s + L][ib]
-        mn = np.minimum(na, nb)
-        mx = np.maximum(na, nb)
-        alpha = np.ceil((tau / (1.0 + tau)) * (na + nb)).astype(np.int64)
-        keep = ((mn >= tau * mx)
-                & (np.minimum(na - ra, nb - rb) >= alpha))
-        if keep.any():
-            out_a.append(np.minimum(A[keep], B[keep]))
-            out_b.append(np.maximum(A[keep], B[keep]))
-    if not out_a:
-        return pa.table({"id_a": pa.array([], pa.int64()),
-                         "id_b": pa.array([], pa.int64())})
+    i, j = segment_pairs(starts, np.diff(np.append(starts, len(k))))
+    na, nb, ra, rb = n[i], n[j], r[i], r[j]
+    alpha = np.ceil((tau / (1.0 + tau)) * (na + nb)).astype(np.int64)
+    keep = ((np.minimum(na, nb) >= tau * np.maximum(na, nb))
+            & (np.minimum(na - ra, nb - rb) >= alpha))
+    A, B = ids[i[keep]], ids[j[keep]]
     return pa.table({
-        "id_a": pa.array(np.concatenate(out_a), pa.int64()),
-        "id_b": pa.array(np.concatenate(out_b), pa.int64()),
+        "id_a": pa.array(np.minimum(A, B), pa.int64()),
+        "id_b": pa.array(np.maximum(A, B), pa.int64()),
     })
 
 

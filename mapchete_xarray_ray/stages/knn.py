@@ -54,15 +54,6 @@ def _shell_offsets(lo: int, hi: int):
     return dr[keep], dc[keep]
 
 
-_EMPTY = pa.table({
-    "id": pa.array([], pa.int64()),
-    "x": pa.array([], pa.float64()),
-    "y": pa.array([], pa.float64()),
-    "grp": pa.array([], pa.int64()),
-    "is_query": pa.array([], pa.bool_()),
-})
-
-
 _SALT_MULT = 64  # cap on segments per hot cell; also the fixed grp multiplier
 
 
@@ -82,8 +73,6 @@ def _replicate(ncols: int, nrows: int, lo: int, hi: int, as_query: bool,
 
     def fn(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        if n == 0:
-            return _EMPTY
         crow = batch.column("crow").to_numpy(zero_copy_only=False)
         ccol = batch.column("ccol").to_numpy(zero_copy_only=False)
         rows = crow[:, None] + dr[None, :]
@@ -131,7 +120,13 @@ def _cell_topk(k: int, max_elems: int = 8_000_000):
     peak memory is bounded no matter how many query copies land in a
     group — the salting in :func:`knn_pipeline` bounds C; this bounds
     Q x C. Chunking changes nothing semantically: each query row's
-    top-k is independent."""
+    top-k is independent.
+
+    Per-chunk temporaries, each (Q_chunk, C): the float64 ``d2``, and
+    inside :func:`~mapchete_xarray_ray.stages.ann.rowwise_topk` the
+    self-match mask (bool), the masked key copy (float64), its
+    ``np.partition`` copy (float64) and the survivor mask (bool). The
+    survivors — about k per row plus ties — are the only entries sorted."""
 
     def fn(group: pa.Table) -> pa.Table:
         from mapchete_xarray_ray.stages.ann import rowwise_topk

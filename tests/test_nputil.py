@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapchete_xarray_ray.nputil import sorted_lookup
 
@@ -63,3 +65,20 @@ def test_segments_multi_key_and_empty():
     assert list(order[starts[:1]]) == [1]
     order, starts, ends = segments(np.empty(0, np.int64))
     assert len(order) == len(starts) == len(ends) == 0
+
+
+@given(st.lists(st.integers(0, 6), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_segment_pairs_equals_per_segment_triu(lens):
+    from mapchete_xarray_ray.nputil import segment_pairs
+
+    lens = np.array(lens, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    want_i, want_j = [], []
+    for s, L in zip(starts, lens):
+        ia, ib = np.triu_indices(L, k=1)
+        want_i += (s + ia).tolist()
+        want_j += (s + ib).tolist()
+    i, j = segment_pairs(starts, lens)
+    assert i.dtype == j.dtype == np.int64
+    assert i.tolist() == want_i and j.tolist() == want_j
