@@ -43,8 +43,11 @@ def collect_table(res) -> pa.Table:
 
     Ray's sort-based groupby/map_groups can emit zero-column blocks for
     empty partitions; concatenating those breaks schema-sensitive
-    consumers, so they are dropped. Non-Dataset inputs (already a
-    Table / DataFrame) pass through unchanged.
+    consumers, so they are dropped. So are zero-row blocks when any
+    block holds rows: Ray passes a zero-row block by a UDF uncalled, so
+    it keeps the UDF's INPUT schema and would not concatenate with the
+    UDF's output. Non-Dataset inputs (already a Table / DataFrame) pass
+    through unchanged.
     """
     if not isinstance(res, ray.data.Dataset):
         return res
@@ -54,4 +57,5 @@ def collect_table(res) -> pa.Table:
             t = pa.Table.from_pandas(t)
         if t.num_columns > 0:
             tabs.append(t)
+    tabs = [t for t in tabs if t.num_rows] or tabs[:1]
     return pa.concat_tables(tabs) if tabs else pa.table({})

@@ -192,9 +192,3 @@ def make_regions(
         "name": pa.array(names, pa.string()),
         "ring_xy": ring_arr,
     })
-
-
-def write_regions(path: str, **kw) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    pq.write_table(make_regions(**kw), path)
-    return path

@@ -46,6 +46,27 @@ def segment_pairs(starts: np.ndarray, lens: np.ndarray):
     return np.concatenate(parts_i)[o], np.concatenate(parts_j)[o]
 
 
+def topk_per_id(ids: np.ndarray, nbs: np.ndarray, key: np.ndarray,
+                k: int):
+    """Merge partial top-k rows ``(id, neighbour, key)`` into each id's
+    global top-k: drop duplicate (id, neighbour) rows, keeping the copy
+    with the smallest key; order by (id, key, neighbour); rank within
+    each id and keep rank <= k. Returns ``(sel, rank)``: ``sel`` indexes
+    the input rows in that order, ``rank`` is 1-based. NaN keys sort
+    last, as in ``np.lexsort``."""
+    o = np.lexsort((key, nbs, ids))
+    dup = np.zeros(len(o), dtype=bool)
+    dup[1:] = (ids[o[1:]] == ids[o[:-1]]) & (nbs[o[1:]] == nbs[o[:-1]])
+    u = o[~dup]
+    # u is in (id, neighbour) order, so a stable sort by (id, key)
+    # breaks key ties by neighbour
+    sel = u[np.lexsort((key[u], ids[u]))]
+    s = ids[sel]
+    rank = np.arange(1, len(s) + 1) - np.searchsorted(s, s)  # s is sorted
+    keep = rank <= k
+    return sel[keep], rank[keep]
+
+
 def group_reduce(keys: np.ndarray, *pairs):
     """Vectorized group-by-reduce over sortable keys: each ``pairs``
     entry is ``(ufunc, values)`` (e.g. ``(np.add, x)``,

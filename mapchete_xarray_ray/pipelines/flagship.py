@@ -51,7 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from mapchete_xarray_ray.collect import arrow_block_refs
+from mapchete_xarray_ray.collect import collect_table
 
 from mapchete_xarray_ray.fixtures import DEFAULT_BOUNDS, DEFAULT_ZOOM, make_pages
 from mapchete_xarray_ray.grid import unpack_tile_id
@@ -457,14 +457,13 @@ def run_pipeline_salted(ds: ray.data.Dataset, spec: JobSpec,
         t = batch.group_by("tile_id").aggregate([("tile_id", "count")])
         return t.rename_columns(["tile_id", "n"])
 
-    counts = (ds.map_batches(tile_counts, batch_format="pyarrow")
-                .groupby("tile_id").sum("n"))
-    counts_tbl = pa.concat_tables(
-        [t for t in (ray.get(r) for r in arrow_block_refs(counts))
-         if t.num_columns > 0])
-    hot = counts_tbl.filter(
-        pc.greater(counts_tbl.column("sum(n)"), hot_threshold)
-    ).column("tile_id").to_numpy().astype(np.int64)
+    counts = collect_table(ds.map_batches(tile_counts, batch_format="pyarrow")
+                           .groupby("tile_id").sum("n"))
+    hot = np.empty(0, dtype=np.int64)  # nothing left to build: no hot tile
+    if counts.num_rows:
+        hot = counts.filter(
+            pc.greater(counts.column("sum(n)"), hot_threshold)
+        ).column("tile_id").to_numpy().astype(np.int64)
     hot_ref = ray.put(hot)
 
     from mapchete_xarray_ray.functions.geocode import stable_hash64

@@ -1597,8 +1597,8 @@ def q_ann_ivf(sf_dir: str):
     assignment and integer centroid updates make every data-dependent
     branch reproducible in DuckDB (unrolled rounds — the BPE-twin
     pattern); only the in-list cosine ranking is float, the same
-    established form as SQL_ANN_COSINE. Recall vs brute force is
-    asserted in tests/test_ann.py."""
+    established form as SQL_ANN_COSINE. Planted-twin recall and
+    partition invariance are asserted in tests/test_ann.py."""
     from mapchete_xarray_ray.stages.ann import ann_ivf_int_pipeline
 
     emb = _read(f"{sf_dir}/embeddings.parquet",
@@ -1615,8 +1615,8 @@ def q_ann_pq(sf_dir: str):
     path next to IVF and LSH; see stages/ann.ann_pq_int_pipeline for
     the scale contract). SQL-exact: integer subspace codebooks and an
     integer-ADC score mean the DuckDB twin reproduces codes and
-    neighbor ranking bit-for-bit. Recall vs brute force and
-    determinism are asserted in tests/test_ann.py."""
+    neighbor ranking bit-for-bit. Planted-twin recall and partition
+    invariance are asserted in tests/test_ann.py."""
     from mapchete_xarray_ray.stages.ann import ann_pq_int_pipeline
 
     emb = _read(f"{sf_dir}/embeddings.parquet",
@@ -1791,7 +1791,7 @@ QUALIFY rank <= {k}
 
 def q_ann_lsh(sf_dir: str):
     """LSH-bucketed approximate all-pairs top-k. SQL-exact since the
-    hyperplanes and embeddings are integer-quantized (floor(x*1e6)):
+    planes and embeddings are integer-quantized (floor(x*1e6)):
     bucket assignment is a sign test on exact integer dots, so the
     DuckDB twin reproduces the buckets bit-for-bit and ranks within
     each bucket by the same (cosine DESC, vec_id) order as the engine.

@@ -122,17 +122,16 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, partition_col: str,
         return pa.table({"partition": pa.array(parts, pa.string()),
                          "n_rows": pa.array(counts, pa.int64())})
 
-    from mapchete_xarray_ray.collect import arrow_block_refs
+    from mapchete_xarray_ray.collect import collect_table
 
     out = (ds.map_batches(bucket_stage, batch_format="pyarrow")
            .groupby("__pb")
            .map_groups(write_bucket, batch_format="pyarrow"))
-    # exactly ONE execution of the writes: arrow_block_refs collects off
+    # exactly ONE execution of the writes: collect_table collects off
     # the ref-bundle iterator, never Ray's schema probe (which would
     # re-run the side-effecting pipeline a second time — collect.py)
-    tabs = [t for t in (ray.get(r) for r in arrow_block_refs(out))
-            if t.num_columns > 0]
-    return (pa.concat_tables(tabs) if tabs else
+    res = collect_table(out)
+    return (res if res.num_rows else
             pa.table({"partition": pa.array([], pa.string()),
                       "n_rows": pa.array([], pa.int64())}))
 

@@ -1,15 +1,19 @@
 """Similarity search over an embedding column (training-data ops).
 
-- :func:`brute_topk` — exact cosine top-k: the query matrix is
+- :func:`ann_brute_pipeline` — exact cosine top-k: the query matrix is
   broadcast ONCE via ``ray.put`` (L2-normalized float64), every batch
   does one numpy matmul against it. This is the correctness baseline
   and is itself the right scale shape when the query side is small
   (queries x corpus streamed per batch).
-- :class:`LSHBucketedANN` pieces — the scale path: random-hyperplane
-  sign signatures bucket the corpus (``groupby(bucket)``); queries
-  probe their own bucket (+ optional multi-probe), so each group does
-  a small local matmul. Approximate; tests measure recall vs brute
-  force and determinism (fixed hyperplanes).
+- :func:`ann_lsh_pipeline` and :func:`emb_neardup_lsh_pipeline` — the
+  hashing scale path: integer random-hyperplane sign signatures bucket
+  the corpus (``groupby(bucket)``), so each group does a small local
+  matmul. Approximate; tests measure recall vs brute force and
+  determinism (fixed planes).
+- :func:`ann_ivf_int_pipeline` and :func:`ann_pq_int_pipeline` — the
+  inverted-list and compressed-scan scale paths, with every
+  data-dependent decision in integer arithmetic so a DuckDB twin
+  reproduces them bit-for-bit.
 
 All distances are computed on float64 with a fixed expression order so
 reruns and the sequential oracle agree bit-for-bit.
@@ -21,27 +25,16 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from mapchete_xarray_ray.collect import arrow_block_refs
-
+from mapchete_xarray_ray.collect import collect_table
+from mapchete_xarray_ray.nputil import topk_per_id
 from mapchete_xarray_ray.scale import nblocks_for_cluster
 
 _HP_SEED = 0x5EED
 N_PLANES = 12  # 4096 buckets
 
 
-def _collect_nonempty(ds: "ray.data.Dataset") -> pa.Table | None:
-    """Collect a SMALL Dataset (training sample / code table) to one
-    table; None when no rows came back — empty-corpus paths must
-    branch explicitly. Thin wrapper over :func:`collect.collect_table`
-    so the probe-free collection logic lives in one module."""
-    from mapchete_xarray_ray.collect import collect_table
-
-    t = collect_table(ds)
-    return t if t.num_rows else None
-
-
-# IVF pipelines' final stage (_bucket_merge_topk) schema, shared by
-# their empty-corpus early returns so both paths stay column-identical
+# ann_ivf_int_pipeline's final stage (_bucket_merge_topk) schema, shared
+# by its empty-corpus early return so both paths stay column-identical
 _IVF_EMPTY = {
     "vec_id": pa.int64(), "neighbor_id": pa.int64(),
     "rank": pa.int64(), "cosine": pa.float64()}
@@ -149,12 +142,6 @@ def ann_brute_pipeline(corpus: ray.data.Dataset, query_ids: np.ndarray,
 
 # --- LSH-bucketed variant (scale path) -----------------------------------
 
-def hyperplanes(dim: int, n_planes: int = N_PLANES) -> np.ndarray:
-    """Fresh fixed-seed generator per call: repeated pipelines get
-    identical planes (determinism requirement)."""
-    return np.random.default_rng(_HP_SEED).standard_normal((n_planes, dim))
-
-
 QUANT = 1_000_000.0  # embedding/plane quantization scale (1e-6 resolution)
 
 
@@ -170,7 +157,7 @@ def quantize_q(m: np.ndarray) -> np.ndarray:
 
 def hyperplanes_q(dim: int, n_planes: int = N_PLANES,
                   seed: int = _HP_SEED) -> np.ndarray:
-    """Integer-quantized hyperplanes (``floor(randn * 1e6)``): the
+    """Integer-quantized random planes (``floor(randn * 1e6)``): the
     plane constants double as SQL literals in the DuckDB twins."""
     return quantize_q(
         np.random.default_rng(seed).standard_normal((n_planes, dim)))
@@ -214,130 +201,7 @@ def bucket_local_topk(k: int, emb_col: str = "embedding"):
     return fn
 
 
-# --- IVF variant (embedding-space cells, the other scale path) -----------
-
-def kmeans_centroids(mat: np.ndarray, n_clusters: int, iters: int = 10,
-                     seed: int = 0xC347) -> np.ndarray:
-    """Deterministic spherical k-means (driver-side, on a sample):
-    fixed seed init, cosine assignment, mean + renormalize update."""
-    rng = np.random.default_rng(seed)
-    m = normalize_rows(mat.astype(np.float64))
-    idx = rng.choice(len(m), size=min(n_clusters, len(m)), replace=False)
-    cent = m[np.sort(idx)].copy()
-    for _ in range(iters):
-        assign = np.argmax(m @ cent.T, axis=1)
-        for c in range(len(cent)):
-            members = m[assign == c]
-            if len(members):
-                v = members.sum(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cent[c] = v / n
-    return cent
-
-
-def kmeans_refine_distributed(corpus: "ray.data.Dataset",
-                              cent: np.ndarray, iters: int = 1,
-                              emb_col: str = "embedding") -> np.ndarray:
-    """Distributed Lloyd refinement of sample-fit centroids: each
-    iteration is ONE streaming corpus pass emitting per-batch partial
-    (sum-vector, count) per cluster — a constant-size partial
-    (n_clusters x dim floats) regardless of corpus size — merged and
-    renormalized on the driver. The faiss-style recipe at scale:
-    sample-fit seeds the codebook, full-corpus passes polish it."""
-    for _ in range(max(iters, 0)):
-        ref = ray.put(cent)
-        nc, dim = cent.shape
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)
-            m = normalize_rows(_embedding_matrix(batch, emb_col))
-            assign = np.argmax(m @ c.T, axis=1)
-            sums = np.zeros((len(c), c.shape[1]), dtype=np.float64)
-            np.add.at(sums, assign, m)
-            counts = np.bincount(assign, minlength=len(c))
-            return pa.table({
-                "cluster": pa.array(np.arange(len(c), dtype=np.int64)),
-                "vec_sum": pa.array(list(sums), pa.list_(pa.float64())),
-                "n": pa.array(counts.astype(np.int64)),
-            })
-
-        tabs = [t for t in (ray.get(r) for r in arrow_block_refs(
-            corpus.map_batches(partial, batch_format="pyarrow")))
-            if t.num_columns > 0]
-        if not tabs:
-            return cent
-        merged = pa.concat_tables(tabs)
-        cl = merged.column("cluster").to_numpy(zero_copy_only=False)
-        n = merged.column("n").to_numpy(zero_copy_only=False)
-        vcol = merged.column("vec_sum")
-        if isinstance(vcol, pa.ChunkedArray):
-            vcol = vcol.combine_chunks()
-        vs = vcol.flatten().to_numpy(zero_copy_only=False).reshape(-1, dim)
-        sums = np.zeros((nc, dim), dtype=np.float64)
-        np.add.at(sums, cl, vs)
-        counts = np.bincount(cl, weights=n, minlength=nc)
-        new = cent.copy()
-        nz = counts > 0
-        norms = np.linalg.norm(sums[nz], axis=1)
-        ok = norms > 0
-        rows = np.flatnonzero(nz)[ok]
-        new[rows] = sums[rows] / norms[ok, None]
-        cent = new
-    return cent
-
-
-def ivf_assign_stage(cent_ref, nprobe: int = 1, id_col: str = "vec_id",
-                     emb_col: str = "embedding", as_query: bool = False):
-    """map_batches fn: replicate each row to its ``nprobe`` nearest
-    centroids' cluster groups (corpus rows use nprobe=1 — each vector
-    lives in exactly one inverted list; query copies probe several)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        cent = ray.get(cent_ref)
-        m = normalize_rows(_embedding_matrix(batch, emb_col))
-        sims = m @ cent.T  # (n, C)
-        top = np.argsort(-sims, axis=1, kind="stable")[:, :nprobe]  # (n, p)
-        n = len(m)
-        idx = np.repeat(np.arange(n), nprobe)
-        return pa.table({
-            id_col: batch.column(id_col).take(pa.array(idx)),
-            emb_col: batch.column(emb_col).take(pa.array(idx)),
-            "cluster": pa.array(top.reshape(-1).astype(np.int64)),
-            "is_query": pa.array(np.full(n * nprobe, as_query)),
-        })
-
-    return fn
-
-
-def ivf_assign_both_stage(cent_ref, nprobe: int, id_col: str = "vec_id",
-                          emb_col: str = "embedding"):
-    """One-pass variant for self-join ANN (every corpus vector is also
-    a query): ONE decode + centroid matmul per batch emits both the
-    vector's single inverted-list row (top-1 centroid) and its
-    ``nprobe`` probe copies — halves input executions vs two assign
-    stages + union, without re-running the assignment compute."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        cent = ray.get(cent_ref)
-        m = normalize_rows(_embedding_matrix(batch, emb_col))
-        sims = m @ cent.T  # (n, C)
-        top = np.argsort(-sims, axis=1, kind="stable")[:, :nprobe]  # (n, p)
-        n = len(m)
-        # inverted-list rows: top-1; probe rows: top-nprobe
-        idx = np.concatenate([np.arange(n), np.repeat(np.arange(n), nprobe)])
-        clusters = np.concatenate([top[:, 0], top.reshape(-1)])
-        is_query = np.concatenate([np.zeros(n, dtype=bool),
-                                   np.ones(n * nprobe, dtype=bool)])
-        return pa.table({
-            id_col: batch.column(id_col).take(pa.array(idx)),
-            emb_col: batch.column(emb_col).take(pa.array(idx)),
-            "cluster": pa.array(clusters.astype(np.int64)),
-            "is_query": pa.array(is_query),
-        })
-
-    return fn
-
+# --- Per-list top-k (IVF) and the per-id merge (brute force, IVF) --------
 
 def _ivf_cluster_topk(k: int, emb_col: str = "embedding"):
     """Per-cluster: top-k of the query copies vs the cluster's corpus
@@ -361,66 +225,24 @@ def _ivf_cluster_topk(k: int, emb_col: str = "embedding"):
 
 
 def _bucket_merge_topk(k: int):
-    """Vectorized per-id-bucket merge of partial cosine top-k lists."""
+    """Vectorized per-id-bucket merge of partial cosine top-k lists,
+    ranked by (cosine desc, neighbor_id asc). A candidate sits in
+    exactly one inverted list and corpus batches are disjoint, so no
+    (vec_id, neighbor_id) pair arrives twice."""
 
     def fn(group: pa.Table) -> pa.Table:
         ids = group.column("vec_id").to_numpy(zero_copy_only=False)
         nbs = group.column("neighbor_id").to_numpy(zero_copy_only=False)
         cs = group.column("cosine").to_numpy(zero_copy_only=False)
-        o2 = np.lexsort((cs, nbs, ids))
-        dup = np.zeros(len(ids), dtype=bool)
-        dup[1:] = (ids[o2][1:] == ids[o2][:-1]) & (nbs[o2][1:] == nbs[o2][:-1])
-        keep_mask = np.ones(len(ids), dtype=bool)
-        keep_mask[o2[dup]] = False
-        ids, nbs, cs = ids[keep_mask], nbs[keep_mask], cs[keep_mask]
-        order = np.lexsort((nbs, -cs, ids))
-        ids, nbs, cs = ids[order], nbs[order], cs[order]
-        new_run = np.ones(len(ids), dtype=bool)
-        new_run[1:] = ids[1:] != ids[:-1]
-        starts = np.flatnonzero(new_run)
-        rank = np.arange(len(ids)) - np.repeat(starts, np.diff(
-            np.append(starts, len(ids)))) + 1
-        keep = rank <= k
+        sel, rank = topk_per_id(ids, nbs, -cs, k)
         return pa.table({
-            "vec_id": pa.array(ids[keep], pa.int64()),
-            "neighbor_id": pa.array(nbs[keep], pa.int64()),
-            "rank": pa.array(rank[keep], pa.int64()),
-            "cosine": pa.array(cs[keep], pa.float64()),
+            "vec_id": pa.array(ids[sel], pa.int64()),
+            "neighbor_id": pa.array(nbs[sel], pa.int64()),
+            "rank": pa.array(rank, pa.int64()),
+            "cosine": pa.array(cs[sel], pa.float64()),
         })
 
     return fn
-
-
-def ann_ivf_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
-                     n_clusters: int = 16, nprobe: int = 4,
-                     sample_limit: int = 10_000,
-                     refine_iters: int = 0) -> ray.data.Dataset:
-    """IVF ANN: spherical-k-means centroids (fit driver-side on a
-    sample, broadcast), corpus sharded into inverted lists (one cluster
-    per vector), queries probe their ``nprobe`` nearest lists, exact
-    top-k within each probed list, per-query merge. Deterministic
-    (fixed seed); recall vs brute force measured in tests."""
-    # the centroid sample consumes only limit(sample_limit) — streaming
-    # execution early-stops the read, so the corpus is scanned ~once:
-    # a truncated head pass here + one full assignment pass below
-    sample = _collect_nonempty(corpus.limit(sample_limit))
-    if sample is None:  # empty corpus: no lists, no neighbours
-        return _empty_ds(_IVF_EMPTY)
-    mat = _embedding_matrix(sample, "embedding")
-    cent = kmeans_centroids(mat, n_clusters)
-    if refine_iters:
-        cent = kmeans_refine_distributed(corpus, cent, refine_iters)
-    cent_ref = ray.put(cent)
-
-    partial = (corpus.map_batches(ivf_assign_both_stage(cent_ref, nprobe),
-                                  batch_format="pyarrow")
-               .repartition(nblocks_for_cluster())  # few blocks into the 16-group shuffle
-               .groupby("cluster")
-               .map_groups(_ivf_cluster_topk(k), batch_format="pyarrow"))
-
-    return (partial.map_batches(_add_id_bucket, batch_format="pyarrow")
-            .groupby("id_bucket")
-            .map_groups(_bucket_merge_topk(k), batch_format="pyarrow"))
 
 
 def emb_neardup_lsh_pipeline(corpus: ray.data.Dataset, dim: int,
@@ -486,12 +308,9 @@ def emb_neardup_lsh_pipeline(corpus: ray.data.Dataset, dim: int,
              .groupby("bb")
              .map_groups(bucket_pairs, batch_format="pyarrow"))
     return (pairs.map_batches(
-                lambda b: (b.append_column(
+                lambda b: b.append_column(
                     "pb", pa.array((b.column("pid").to_numpy() % 64)
-                                   .astype(np.int64)))
-                    if "pid" in b.column_names else
-                    pa.table({"pid": pa.array([], pa.int64()),
-                              "pb": pa.array([], pa.int64())})),
+                                   .astype(np.int64))),
                 batch_format="pyarrow")
             .groupby("pb")
             .map_groups(uniq, batch_format="pyarrow"))
@@ -510,200 +329,10 @@ def ann_lsh_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
                                                  batch_format="pyarrow")
 
 
-# --- Product-quantization variant (compressed-scan scale path) -----------
-
-_PQ_SEED = 0xAD7
-
-
-def _kmeans_l2(mat: np.ndarray, n_clusters: int, iters: int = 10,
-               seed: int = _PQ_SEED) -> np.ndarray:
-    """Deterministic plain-L2 Lloyd k-means (driver-side, on a sample):
-    fixed-seed init from sample rows, argmin-distance assignment, mean
-    update (empty clusters keep their previous centroid). Distances use
-    the ``-2x.c + |c|^2`` form — no (n, k, d) broadcast blow-up."""
-    rng = np.random.default_rng(seed)
-    mat = mat.astype(np.float64)
-    idx = rng.choice(len(mat), size=min(n_clusters, len(mat)), replace=False)
-    cent = mat[np.sort(idx)].copy()
-    for _ in range(iters):
-        d = -2.0 * (mat @ cent.T) + (cent * cent).sum(axis=1)[None, :]
-        assign = np.argmin(d, axis=1)
-        for c in range(len(cent)):
-            members = mat[assign == c]
-            if len(members):
-                cent[c] = members.mean(axis=0)
-    return cent
-
-
-def pq_train(sample_mat: np.ndarray, m_sub: int,
-             n_codes: int) -> np.ndarray:
-    """Fit one L2 codebook per subspace on (already normalized) sample
-    rows. Returns (m_sub, n_codes, dim // m_sub) codebooks. Distinct
-    seed per subspace so codebooks are independent."""
-    d = sample_mat.shape[1]
-    if d % m_sub:
-        raise ValueError(f"dim {d} not divisible by m_sub {m_sub}")
-    # the int64 packing in pq_encode_stage holds M uint8 codes: more
-    # than 8 subspaces would shift past 64 bits (numpy yields 0
-    # SILENTLY) and >256 codes would wrap the uint8 cast — fail loud
-    # here instead of corrupting every code downstream
-    if m_sub > 8:
-        raise ValueError(f"m_sub {m_sub} > 8 cannot pack into int64")
-    if n_codes > 256:
-        raise ValueError(f"n_codes {n_codes} > 256 overflows uint8")
-    ds = d // m_sub
-    return np.stack([
-        _kmeans_l2(sample_mat[:, i * ds:(i + 1) * ds], n_codes,
-                   seed=_PQ_SEED + i)
-        for i in range(m_sub)])
-
-
-def pq_assign(mat: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """Encode (n, dim) rows against (M, K, ds) codebooks -> (n, M)
-    uint8 codes (nearest codeword per subspace, vectorized per
-    subspace)."""
-    m_sub, _k, ds = books.shape
-    codes = np.empty((len(mat), m_sub), dtype=np.uint8)
-    for m in range(m_sub):
-        sub = mat[:, m * ds:(m + 1) * ds]
-        cb = books[m]
-        d = -2.0 * (sub @ cb.T) + (cb * cb).sum(axis=1)[None, :]
-        codes[:, m] = np.argmin(d, axis=1).astype(np.uint8)
-    return codes
-
-
-def pq_encode_stage(books_ref, id_col: str = "vec_id",
-                    emb_col: str = "embedding"):
-    """map_batches fn factory: normalize + PQ-encode each batch, emit
-    ``(vec_id, code)`` with all M uint8 codes packed into ONE int64
-    (M <= 8, K <= 256) — a 32x compression of a 64-dim f32 vector,
-    shipped as plain Arrow ints, no per-row python."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        books = ray.get(books_ref)
-        mat = normalize_rows(_embedding_matrix(batch, emb_col))
-        codes = pq_assign(mat, books).astype(np.uint64)
-        m_sub = books.shape[0]
-        packed = (codes << (8 * np.arange(m_sub, dtype=np.uint64))[None, :]
-                  ).sum(axis=1)
-        return pa.table({
-            "vec_id": batch.column(id_col).cast(pa.int64()),
-            "code": pa.array(packed.view(np.int64)),
-        })
-
-    return fn
-
-
-def _pq_unpack(packed: np.ndarray, m_sub: int) -> np.ndarray:
-    """(n,) packed int64 -> (n, M) uint8 codes."""
-    u = packed.view(np.uint64)
-    return ((u[:, None] >> (8 * np.arange(m_sub, dtype=np.uint64))[None, :])
-            & np.uint64(0xFF)).astype(np.uint8)
-
-
-def pq_scan_stage(books_ref, codes_ref, k: int, id_col: str = "vec_id",
-                  emb_col: str = "embedding",
-                  corpus_chunk: int = 1 << 18):
-    """map_batches fn factory: asymmetric-distance (ADC) scan. Each
-    query batch builds its (Q, M, K) inner-product lookup tables in one
-    einsum, then streams the broadcast code table in ``corpus_chunk``
-    slices — each slice scores by fancy indexing (M vectorized gathers,
-    never a python loop over vectors) and folds into a running per-row
-    top-k keyed by (score desc, neighbor_id asc). Peak score memory is
-    (Q, corpus_chunk) float64 (~2 GB at the defaults), NOT (Q, N):
-    top-k under a total order is chunk-mergeable, so the result is
-    bit-identical to a full-matrix scan at any chunk size. No shuffle:
-    the compressed scan structure travels to the data."""
-
-    def _row_topk(key: np.ndarray, ids: np.ndarray, kk: int):
-        """Per-row smallest-kk by (key asc, id asc); returns the
-        selected (Q, kk') key and id matrices in rank order. ``ids``
-        may be (C,) shared across rows or (Q, C) per row."""
-        ids2 = np.broadcast_to(ids, key.shape)
-        order = np.lexsort((ids2, key), axis=-1)[:, :min(kk, key.shape[1])]
-        return (np.take_along_axis(key, order, axis=1),
-                np.take_along_axis(ids2, order, axis=1))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        books = ray.get(books_ref)
-        c_ids, c_codes = ray.get(codes_ref)
-        m_sub, _kk, ds = books.shape
-        q_ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        q = normalize_rows(_embedding_matrix(batch, emb_col))
-        nq = len(q)
-        lut = np.einsum("qmd,mkd->qmk", q.reshape(nq, m_sub, ds), books)
-        best_key = np.full((nq, 0), np.inf)
-        best_id = np.full((nq, 0), 0, dtype=np.int64)
-        for s0 in range(0, len(c_ids), corpus_chunk):
-            cc = c_codes[s0:s0 + corpus_chunk]
-            cid = c_ids[s0:s0 + corpus_chunk]
-            sc = np.zeros((nq, len(cc)), dtype=np.float64)
-            for m in range(m_sub):
-                sc += lut[:, m, cc[:, m]]
-            key = np.where(q_ids[:, None] == cid[None, :], np.inf, -sc)
-            ck, ci = _row_topk(key, cid, k)
-            best_key, best_id = _row_topk(
-                np.concatenate([best_key, ck], axis=1),
-                np.concatenate([best_id, ci], axis=1), k)
-        finite = np.isfinite(best_key)
-        t = finite.sum(axis=1)
-        return pa.table({
-            "vec_id": pa.array(np.repeat(q_ids, t), pa.int64()),
-            "neighbor_id": pa.array(best_id[finite], pa.int64()),
-            "rank": pa.array(np.broadcast_to(
-                np.arange(1, best_key.shape[1] + 1),
-                best_key.shape)[finite].astype(np.int64)),
-        })
-
-    return fn
-
-
-def ann_pq_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
-                    m_sub: int = 8, n_codes: int = 16,
-                    sample_limit: int = 10_000,
-                    scan_batch: int = 1024) -> ray.data.Dataset:
-    """Product-quantization ANN (the compressed-scan scale path next to
-    IVF and LSH): codebooks are fit driver-side on a bounded sample
-    (deterministic seeds), one streaming pass encodes every vector to
-    M bytes (packed into a single int64 column), and the scan pass
-    streams queries against the broadcast code table with asymmetric
-    distance. Scale contract: the broadcast is M bytes/vector (8 B vs
-    256 B raw f32 at dim=64 — 32x), i.e. ~8 GB at 10^9 vectors; that
-    compression is exactly why a PQ scan structure fits in worker RAM
-    where raw vectors cannot (the driver assembles the code table once
-    before the ``ray.put`` — same 8 B/vector bound). Beyond ~10^9,
-    shard the code table by IVF list (compose with
-    ``ann_ivf_pipeline``'s assignment) instead of growing the
-    broadcast. ``scan_batch`` bounds Q per task; the scan itself
-    streams the code table in chunks with a running top-k merge (see
-    ``pq_scan_stage``), so score memory is (Q, chunk), never (Q, N).
-    Approximate -> rows-only under the driver; recall and determinism
-    are asserted in tests/test_ann.py."""
-    sample = _collect_nonempty(corpus.limit(sample_limit))
-    if sample is None:  # empty corpus: no codebooks, no neighbours
-        return _empty_ds({"vec_id": pa.int64(),
-                          "neighbor_id": pa.int64(),
-                          "rank": pa.int64()})
-    mat = normalize_rows(_embedding_matrix(sample, "embedding"))
-    books_ref = ray.put(pq_train(mat, m_sub, n_codes))
-
-    enc = pa.concat_tables([
-        t for t in (ray.get(r) for r in arrow_block_refs(corpus.map_batches(
-            pq_encode_stage(books_ref), batch_format="pyarrow")))
-        if t.num_columns > 0])
-    c_ids = enc.column("vec_id").to_numpy(zero_copy_only=False)
-    c_codes = _pq_unpack(
-        enc.column("code").to_numpy(zero_copy_only=False), m_sub)
-    codes_ref = ray.put((c_ids, c_codes))
-
-    return corpus.map_batches(pq_scan_stage(books_ref, codes_ref, k),
-                              batch_format="pyarrow",
-                              batch_size=scan_batch)
-
-# --- Integer-exact IVF / PQ (SQL-twinnable variants) ----------------------
+# --- Integer-exact IVF / PQ (SQL-twinnable) --------------------------------
 #
-# The float pipelines above stay as the general-purpose implementations
-# (tests exercise them directly); the *_int variants below define every
+# The *_int pipelines below are the package's IVF and PQ paths (the
+# registry's ann_ivf / ann_pq). They define every
 # data-dependent decision — init selection, k-means assignment, centroid
 # updates, code assignment, ADC scores — over INTEGER arithmetic whose
 # float steps are single correctly-rounded ops (floor(x*1e6),
@@ -747,12 +376,9 @@ def hash_init_vectors(corpus: "ray.data.Dataset", n: int,
             "eq": pa.array(list(mq), pa.list_(pa.int64())),
         })
 
-    parts = [t for t in (ray.get(r) for r in arrow_block_refs(
-        corpus.map_batches(partial, batch_format="pyarrow")))
-        if t.num_columns > 0 and t.num_rows > 0]
-    if not parts:
+    merged = collect_table(corpus.map_batches(partial, batch_format="pyarrow"))
+    if not merged.num_rows:
         return np.empty((0, 0), dtype=np.int64)
-    merged = pa.concat_tables(parts)
     h = merged.column("h").to_numpy(zero_copy_only=False)
     ids = merged.column(id_col).to_numpy(zero_copy_only=False)
     order = np.lexsort((ids, h))[:n]
@@ -812,12 +438,10 @@ def ivf_train_int(corpus: "ray.data.Dataset", n_clusters: int = 16,
                 "n": pa.array(counts.astype(np.int64)),
             })
 
-        tabs = [t for t in (ray.get(r) for r in arrow_block_refs(
-            corpus.map_batches(partial, batch_format="pyarrow")))
-            if t.num_columns > 0 and t.num_rows > 0]
-        if not tabs:
+        merged = collect_table(
+            corpus.map_batches(partial, batch_format="pyarrow"))
+        if not merged.num_rows:
             return cent
-        merged = pa.concat_tables(tabs)
         cl = merged.column("cluster").to_numpy(zero_copy_only=False)
         n = merged.column("n").to_numpy(zero_copy_only=False)
         vcol = merged.column("vec_sum")
@@ -857,9 +481,10 @@ def ivf_train_int(corpus: "ray.data.Dataset", n_clusters: int = 16,
 def ivf_assign_both_stage_int(cent_ref, nprobe: int,
                               id_col: str = "vec_id",
                               emb_col: str = "embedding"):
-    """Integer-dot variant of :func:`ivf_assign_both_stage`: one
-    quantize + int matmul per batch emits the vector's inverted-list
-    row (top-1 centroid) and its ``nprobe`` probe copies. Stable
+    """map_batches fn for self-join IVF (every corpus vector is also a
+    query): one quantize + int matmul per batch emits the vector's
+    inverted-list row (top-1 centroid) and its ``nprobe`` probe copies,
+    so the assignment runs once for both roles. Stable
     argsort of -dots keeps ties in ascending cluster order — the SQL
     twin's (dot DESC, c ASC)."""
 
@@ -888,10 +513,10 @@ def ann_ivf_int_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
                          rounds: int = 3) -> ray.data.Dataset:
     """SQL-twinnable IVF ANN: integer k-means (``ivf_train_int``),
     integer probe/inverted-list assignment, exact cosine top-k within
-    each probed list, per-query merge. Same scale shape as
-    ``ann_ivf_pipeline`` (inverted lists shuffle once, queries probe
-    ``nprobe`` lists); every data-dependent branch is integer, so the
-    DuckDB twin (``_ann_ivf_sql``) reproduces the output exactly."""
+    each probed list, per-query merge. The inverted lists shuffle once
+    and queries probe ``nprobe`` lists; every data-dependent branch is
+    integer, so the DuckDB twin (``_ann_ivf_sql``) reproduces the output
+    exactly."""
     cent = ivf_train_int(corpus, n_clusters, rounds)
     if cent.size == 0:  # empty corpus: no lists, no neighbours
         return _empty_ds(_IVF_EMPTY)
@@ -919,9 +544,12 @@ def pq_train_int(corpus: "ray.data.Dataset", dim: int, m_sub: int = 8,
     ``np.floor(s/n)`` == DuckDB ``floor(s::DOUBLE / n)``; NEVER an
     integer ``//``, whose negative-operand semantics differ between
     python floor and SQL truncation). Returns (m_sub, n_codes', ds)
-    int64 codebooks."""
+    int64 codebooks. ``n_codes`` is at most 256, so each code fits the
+    uint8 that :func:`pq_assign_int` emits."""
     if dim % m_sub:
         raise ValueError(f"dim {dim} not divisible by m_sub {m_sub}")
+    if n_codes > 256:
+        raise ValueError(f"n_codes {n_codes} > 256 overflows uint8")
     ds_ = dim // m_sub
     init = hash_init_vectors(corpus, n_codes, emb_col)
     books = np.stack([init[:, m * ds_:(m + 1) * ds_].astype(np.int64)
@@ -954,12 +582,10 @@ def pq_train_int(corpus: "ray.data.Dataset", dim: int, m_sub: int = 8,
                 "n": pa.array(np.concatenate(out_n)),
             })
 
-        tabs = [t for t in (ray.get(r) for r in arrow_block_refs(
-            corpus.map_batches(partial, batch_format="pyarrow")))
-            if t.num_columns > 0 and t.num_rows > 0]
-        if not tabs:
+        merged = collect_table(
+            corpus.map_batches(partial, batch_format="pyarrow"))
+        if not merged.num_rows:
             return books
-        merged = pa.concat_tables(tabs)
         ms = merged.column("m").to_numpy(zero_copy_only=False)
         ks = merged.column("k").to_numpy(zero_copy_only=False)
         n = merged.column("n").to_numpy(zero_copy_only=False)
@@ -995,10 +621,10 @@ def pq_train_int(corpus: "ray.data.Dataset", dim: int, m_sub: int = 8,
 
 
 def pq_assign_int(mq: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """Quantized (n, dim) rows -> (n, M) codes: exact int L2 argmin
-    per subspace, ties to the lowest code."""
+    """Quantized (n, dim) rows -> (n, M) uint8 codes: exact int L2
+    argmin per subspace, ties to the lowest code."""
     m_sub, _k, ds_ = books.shape
-    codes = np.empty((len(mq), m_sub), dtype=np.int64)
+    codes = np.empty((len(mq), m_sub), dtype=np.uint8)
     for m in range(m_sub):
         sub = mq[:, m * ds_:(m + 1) * ds_]
         d = ((sub[:, None, :] - books[m][None, :, :]) ** 2).sum(axis=2)
@@ -1013,10 +639,13 @@ def pq_int_scan_stage(books_ref, codes_ref, k: int,
     """Integer-ADC scan: per query batch, the (Q, M, K) lookup table
     is the exact int64 dot of the quantized query subvector with each
     integer codeword; scores are integer sums (no float accumulation
-    order), ranked by (score DESC, neighbor_id ASC). Chunked top-k
-    merge identical in structure to :func:`pq_scan_stage` — int scores
-    are exact in float64 (|score| << 2^53), so the float key sort is
-    still exact."""
+    order), ranked by (score DESC, neighbor_id ASC). The broadcast
+    code table streams in ``corpus_chunk`` slices, each folded into a
+    running per-row top-k: top-k under a total order is
+    chunk-mergeable, so the result is identical at any chunk size and
+    score memory is (Q, corpus_chunk), never (Q, N). Int scores are
+    exact in float64 (|score| << 2^53), so the float key sort is still
+    exact."""
 
     def _row_topk(key: np.ndarray, ids: np.ndarray, kk: int):
         ids2 = np.broadcast_to(ids, key.shape)
@@ -1065,12 +694,13 @@ def ann_pq_int_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
                         rounds: int = 3,
                         scan_batch: int = 1024) -> ray.data.Dataset:
     """SQL-twinnable PQ ANN: integer codebooks (``pq_train_int``),
-    integer encoding, integer-ADC scan. Same scale contract as
-    ``ann_pq_pipeline`` (M small ints per vector broadcast once,
-    queries stream against the code table in bounded chunks)."""
+    integer encoding, integer-ADC scan. Scale contract: the driver
+    assembles the code table once and broadcasts it, M uint8 codes per
+    vector (8 B at the default M=8 against 256 B of raw f32 at dim=64,
+    32x smaller); queries stream against it in ``scan_batch`` batches
+    and bounded chunks (see :func:`pq_int_scan_stage`)."""
     books = pq_train_int(corpus, dim, m_sub, n_codes, rounds)
     books_ref = ray.put(books)
-    ds_ = dim // m_sub
 
     def encode(batch: pa.Table) -> pa.Table:
         bks = ray.get(books_ref)
@@ -1078,12 +708,11 @@ def ann_pq_int_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
         codes = pq_assign_int(mq, bks)
         return pa.table({
             "vec_id": batch.column("vec_id").cast(pa.int64()),
-            "code": pa.array(list(codes), pa.list_(pa.int64())),
+            "code": pa.array(list(codes), pa.list_(pa.uint8())),
         })
 
-    enc = _collect_nonempty(corpus.map_batches(encode,
-                                               batch_format="pyarrow"))
-    if enc is None:  # empty corpus: nothing to scan against
+    enc = collect_table(corpus.map_batches(encode, batch_format="pyarrow"))
+    if not enc.num_rows:  # empty corpus: nothing to scan against
         return _empty_ds({"vec_id": pa.int64(),
                           "neighbor_id": pa.int64(),
                           "rank": pa.int64()})
@@ -1092,7 +721,7 @@ def ann_pq_int_pipeline(corpus: ray.data.Dataset, dim: int, k: int,
     if isinstance(ccol, pa.ChunkedArray):
         ccol = ccol.combine_chunks()
     c_codes = ccol.flatten().to_numpy(zero_copy_only=False).reshape(
-        -1, m_sub).astype(np.int64)
+        -1, m_sub)
     codes_ref = ray.put((c_ids, c_codes))
 
     return corpus.map_batches(pq_int_scan_stage(books_ref, codes_ref, k),

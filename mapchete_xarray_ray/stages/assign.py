@@ -88,23 +88,3 @@ def assign_doc_ids_fn(zoom: int, grid: str = "geodetic", with_lonlat: bool = Fal
         return out
 
     return fn
-
-
-def lonlat_assign_fn(zoom: int, grid: str = "geodetic", cell_zoom: int | None = None):
-    """Factory -> map_batches fn for batches that already carry lon/lat."""
-    pyramid = TilePyramid(grid)
-    cz = cell_zoom if cell_zoom is not None else zoom
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        row, col = pyramid.point_to_tile(lon, lat, zoom)
-        crow, ccol = pyramid.point_to_tile(lon, lat, cz)
-        return _append(
-            batch,
-            tile_row=row, tile_col=col,
-            tile_id=pack_tile_id(zoom, row, col),
-            cell_id=cell_encode(crow, ccol, cz).astype(np.int64),
-        )
-
-    return fn

@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from mapchete_xarray_ray.collect import arrow_block_refs
+from mapchete_xarray_ray.collect import collect_table
 
 from mapchete_xarray_ray.functions.geocode import stable_hash64
 from mapchete_xarray_ray.nputil import segment_pairs, sorted_lookup
@@ -879,13 +879,11 @@ def connected_components_ds(pairs: "ray.data.Dataset", max_rounds: int = 50,
     edges = (pairs.map_batches(edge_rows, batch_format="pyarrow")
              .materialize())
     if small_cutoff and edges.count() <= small_cutoff:
-        tabs = [ray.get(r) for r in arrow_block_refs(edges)]
-        tabs = [t for t in tabs if t.num_columns > 0 and t.num_rows > 0]
-        if not tabs:
+        e = collect_table(edges)
+        if not e.num_rows:
             return ray.data.from_arrow(pa.table(
                 {"doc_id": pa.array([], pa.int64()),
                  "cluster_id": pa.array([], pa.int64())}))
-        e = pa.concat_tables(tabs)
         k = e.column("key").to_numpy(zero_copy_only=False)
         v = e.column("val").to_numpy(zero_copy_only=False)
         # edge_rows emits both directions; keep one. Self-loops (a == b)

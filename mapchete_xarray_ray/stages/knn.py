@@ -39,6 +39,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from mapchete_xarray_ray.collect import collect_table
+from mapchete_xarray_ray.nputil import topk_per_id
 from mapchete_xarray_ray.scale import nblocks_for_cluster
 
 
@@ -171,35 +173,12 @@ def _merge_topk(k: int, guaranteed_d2: float, need: int):
         ids = group.column("id").to_numpy(zero_copy_only=False)
         nbs = group.column("neighbor_id").to_numpy(zero_copy_only=False)
         d2s = group.column("dist2").to_numpy(zero_copy_only=False)
-        # global ordering: by (id, d2, neighbor); then per-id dedup of
-        # neighbors and rank assignment via segment arithmetic
-        order = np.lexsort((nbs, d2s, ids))
-        ids, nbs, d2s = ids[order], nbs[order], d2s[order]
-        # drop duplicate (id, neighbor) pairs, keeping the first (=lowest
-        # d2 — but d2 per pair is deterministic, so any copy is fine)
-        first = np.ones(len(ids), dtype=bool)
-        if len(ids) > 1:
-            # a duplicate pair is adjacent only within equal-id runs after
-            # a secondary sort by neighbor; re-sort per (id, nb) to detect
-            o2 = np.lexsort((d2s, nbs, ids))
-            dup = np.zeros(len(ids), dtype=bool)
-            dup[1:] = (ids[o2][1:] == ids[o2][:-1]) & (nbs[o2][1:] == nbs[o2][:-1])
-            keep_mask = np.ones(len(ids), dtype=bool)
-            keep_mask[o2[dup]] = False
-            first = keep_mask
-        ids, nbs, d2s = ids[first], nbs[first], d2s[first]
-        # ranks within each id run (rows still sorted by (id, d2, nb))
-        new_run = np.ones(len(ids), dtype=bool)
-        new_run[1:] = ids[1:] != ids[:-1]
-        run_starts = np.flatnonzero(new_run)
-        rank = np.arange(len(ids)) - np.repeat(run_starts, np.diff(
-            np.append(run_starts, len(ids)))) + 1
-        keep = rank <= k
-        ids, nbs, d2s, rank = ids[keep], nbs[keep], d2s[keep], rank[keep]
+        # a duplicate (id, neighbor) row keeps one copy (d2 per pair is
+        # deterministic, so any copy is fine)
+        sel, rank = topk_per_id(ids, nbs, d2s, k)
+        ids, nbs, d2s = ids[sel], nbs[sel], d2s[sel]
         # resolution per id: count kept >= need AND kth d2 < guarantee
-        new_run = np.ones(len(ids), dtype=bool)
-        new_run[1:] = ids[1:] != ids[:-1]
-        starts = np.flatnonzero(new_run)
+        starts = np.flatnonzero(rank == 1)
         counts = np.diff(np.append(starts, len(ids)))
         last_d2 = d2s[starts + counts - 1]
         res_per_id = (counts >= need) & (last_d2 < guaranteed_d2)
@@ -304,28 +283,19 @@ def knn_pipeline(points: ray.data.Dataset, k: int, cell_span: float,
         return pa.table({"grp": pa.array(uniq.astype(np.int64)),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    from mapchete_xarray_ray.collect import arrow_block_refs
-
-    hot_cells, hot_s = [], []
-    counts = (pts.map_batches(cell_counts, batch_format="pyarrow")
-                 .groupby("grp").sum("n"))
-    for t in (ray.get(r) for r in arrow_block_refs(counts)):
-        if t.num_columns == 0 or t.num_rows == 0:
-            continue
-        g = t.column("grp").to_numpy(zero_copy_only=False)
-        n = t.column("sum(n)").to_numpy(zero_copy_only=False)
+    counts = collect_table(pts.map_batches(cell_counts, batch_format="pyarrow")
+                           .groupby("grp").sum("n"))
+    salt = None
+    if counts.num_rows:
+        g = counts.column("grp").to_numpy(zero_copy_only=False)
+        n = counts.column("sum(n)").to_numpy(zero_copy_only=False)
         m = n > hot_cell_limit
         if m.any():
-            hot_cells.append(g[m].astype(np.int64))
-            hot_s.append(np.minimum(
-                (n[m] + hot_cell_limit - 1) // hot_cell_limit,
-                _SALT_MULT).astype(np.int64))
-    salt = None
-    if hot_cells:
-        cells = np.concatenate(hot_cells)
-        svals = np.concatenate(hot_s)
-        order = np.argsort(cells)
-        salt = ray.put((cells[order], svals[order]))
+            order = np.argsort(g[m])
+            salt = ray.put((
+                g[m][order].astype(np.int64),
+                np.minimum((n[m] + hot_cell_limit - 1) // hot_cell_limit,
+                           _SALT_MULT)[order].astype(np.int64)))
 
     # lazy: in the common case the loop runs ONE round, so materializing
     # the candidate layout would cost an extra execution for nothing; a

@@ -27,16 +27,6 @@ def extract_stage(batch: pa.Table) -> pa.Table:
     return batch.append_column("text", texts)
 
 
-def lang_filter_fn(langs: set[str]):
-    """Vectorized predicate inside map_batches (faster than ds.filter)."""
-    allowed = pa.array(sorted(langs), pa.string())
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column("lang"), value_set=allowed))
-
-    return fn
-
-
 # RE2's \s character set (what split_pattern_regex('\s+') splits on).
 # Trimming exactly this set on BOTH engines keeps the token twins exact
 # for tab/newline-edged texts: DuckDB's bare trim() removes only spaces

@@ -62,7 +62,7 @@ def test_lsh_ann_recall_and_determinism():
     ds = ray.data.from_arrow(tbl).repartition(4)
     got1 = _collect(ann_lsh_pipeline(ds, dim=16, k=5, n_planes=4))
     got2 = _collect(ann_lsh_pipeline(ds, dim=16, k=5, n_planes=4))
-    # deterministic across runs (fixed hyperplanes)
+    # deterministic across runs (fixed planes)
     s1 = sorted(zip(got1.column("vec_id").to_pylist(),
                     got1.column("neighbor_id").to_pylist(),
                     got1.column("rank").to_pylist()))
@@ -100,28 +100,6 @@ def test_ann_query_matches_duckdb(sf_dir):
     assert mismatch == 0
 
 
-def test_ivf_ann_recall_and_determinism():
-    from mapchete_xarray_ray.stages.ann import ann_ivf_pipeline
-
-    tbl, ids, mat = _corpus(n=400, dim=16, seed=11)
-    ds = ray.data.from_arrow(tbl).repartition(4)
-    got1 = _collect(ann_ivf_pipeline(ds, dim=16, k=5, n_clusters=8, nprobe=3))
-    got2 = _collect(ann_ivf_pipeline(ds, dim=16, k=5, n_clusters=8, nprobe=3))
-    s1 = sorted(zip(got1.column("vec_id").to_pylist(),
-                    got1.column("neighbor_id").to_pylist(),
-                    got1.column("rank").to_pylist()))
-    assert s1 == sorted(zip(got2.column("vec_id").to_pylist(),
-                            got2.column("neighbor_id").to_pylist(),
-                            got2.column("rank").to_pylist()))
-    # every query got results; recall@1 vs brute force is high with
-    # nprobe=3 of 8 clusters (fixed seed -> deterministic, not flaky)
-    want = _oracle_topk(ids, mat, 1)
-    got_r1 = {v: n for v, n, r in s1 if r == 1}
-    assert len(got_r1) == len(ids)
-    hits = sum(1 for v, n in got_r1.items() if want[v] and n == want[v][0])
-    assert hits / len(ids) > 0.6
-
-
 def test_emb_neardup_lsh_precision_recall_determinism(sf_dir):
     """The LSH near-dup scale path: every emitted pair is a TRUE
     positive (exact cosine inside buckets), recall vs the exact
@@ -152,140 +130,12 @@ def test_emb_neardup_lsh_precision_recall_determinism(sf_dir):
     assert got_pairs == got2_pairs           # deterministic
 
 
-def test_ivf_distributed_refinement_improves_constrained_sample(sf_dir):
-    """kmeans_refine_distributed is the scale path for when the
-    centroid sample is a tiny fraction of the corpus: starting from a
-    deliberately small sample fit, distributed Lloyd passes must
-    recover recall toward the full-data fit (measured on sf0.1:
-    0.516 -> 0.569 with 3 iters vs 0.582 full fit)."""
-    from mapchete_xarray_ray.pipelines.queries import _read
-    from mapchete_xarray_ray.stages.ann import (
-        _embedding_matrix,
-        ann_brute_pipeline,
-        ann_ivf_pipeline,
-    )
-
-    emb = _read(f"{sf_dir}/embeddings.parquet",
-                columns=["vec_id", "embedding"])
-    tbl = _collect(emb)
-    ids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
-    mat = _embedding_matrix(tbl, "embedding")
-    brute = _collect(ann_brute_pipeline(emb, ids, mat, k=5))
-    bset = set(zip(brute.column("vec_id").to_pylist(),
-                   brute.column("neighbor_id").to_pylist()))
-
-    def recall(refine):
-        ivf = _collect(ann_ivf_pipeline(emb, dim=64, k=5, sample_limit=100,
-                                        refine_iters=refine))
-        iset = set(zip(ivf.column("vec_id").to_pylist(),
-                       ivf.column("neighbor_id").to_pylist()))
-        return len(iset & bset) / len(bset)
-
-    r0, r3 = recall(0), recall(3)
-    assert r3 > r0 + 0.01, (r0, r3)
-
-
-def test_pq_ann_recall_determinism_and_compression():
-    from mapchete_xarray_ray.stages.ann import (
-        _pq_unpack,
-        ann_pq_pipeline,
-        normalize_rows as _norm,
-        pq_assign,
-        pq_train,
-    )
-
-    tbl, ids, mat = _corpus(n=400, dim=16, seed=13)
-    ds = ray.data.from_arrow(tbl).repartition(4)
-    got1 = _collect(ann_pq_pipeline(ds, dim=16, k=5, m_sub=4, n_codes=16))
-    got2 = _collect(ann_pq_pipeline(ds, dim=16, k=5, m_sub=4, n_codes=16))
-    s1 = sorted(zip(got1.column("vec_id").to_pylist(),
-                    got1.column("neighbor_id").to_pylist(),
-                    got1.column("rank").to_pylist()))
-    assert s1 == sorted(zip(got2.column("vec_id").to_pylist(),
-                            got2.column("neighbor_id").to_pylist(),
-                            got2.column("rank").to_pylist()))
-    # every query answered with a full k, ranks contiguous
-    per_q = {}
-    for v, n, r in s1:
-        per_q.setdefault(v, []).append(r)
-    assert len(per_q) == len(ids)
-    assert all(sorted(rs) == [1, 2, 3, 4, 5] for rs in per_q.values())
-    # recall@1 on PLANTED near-duplicate twins: uniform Gaussian data
-    # has near-random NN structure that no coarse quantizer preserves
-    # (the LSH test bounds at 0.05 for the same reason), so the
-    # meaningful recall check is whether the compressed scan recovers
-    # strong planted neighbors. vec i and i+n are twins (tiny noise);
-    # rank-1 under exact cosine is the twin, and ADC must agree for
-    # most of them. Fixed seeds -> deterministic, not flaky.
-    rng = np.random.default_rng(99)
-    base = rng.standard_normal((200, 16))
-    twin_mat = np.vstack([base, base + 0.05 * rng.standard_normal(base.shape)])
-    twin_ids = np.arange(400, dtype=np.int64)
-    twin_tbl = pa.table({
-        "vec_id": pa.array(twin_ids),
-        "embedding": pa.array([r.tolist() for r in twin_mat],
-                              pa.list_(pa.float64())),
-    })
-    tds = ray.data.from_arrow(twin_tbl).repartition(4)
-    tgot = _collect(ann_pq_pipeline(tds, dim=16, k=5, m_sub=4, n_codes=16))
-    t_r1 = {v: n for v, n, r in zip(tgot.column("vec_id").to_pylist(),
-                                    tgot.column("neighbor_id").to_pylist(),
-                                    tgot.column("rank").to_pylist())
-            if r == 1}
-    twin_of = {int(i): int((i + 200) % 400) for i in twin_ids}
-    hits = sum(1 for v, n in t_r1.items() if n == twin_of[v])
-    assert hits / len(twin_ids) > 0.6, hits / len(twin_ids)
-
-    # pack/unpack roundtrip: codes survive the int64 packing exactly
-    books = pq_train(_norm(mat.astype(np.float64)), 4, 16)
-    codes = pq_assign(_norm(mat.astype(np.float64)), books)
-    packed = (codes.astype(np.uint64)
-              << (8 * np.arange(4, dtype=np.uint64))[None, :]).sum(axis=1)
-    assert (_pq_unpack(packed.view(np.int64), 4) == codes).all()
-
-
-def test_pq_scan_chunking_bitexact_and_pack_limits():
-    """The running top-k merge must be bit-identical at ANY chunk size
-    (top-k under a total order is chunk-mergeable), and the int64
-    packing limits must fail loud instead of silently zeroing codes."""
-    import pytest
-
-    from mapchete_xarray_ray.stages.ann import (
-        normalize_rows as _norm,
-        pq_assign,
-        pq_scan_stage,
-        pq_train,
-    )
-
-    tbl, ids, mat = _corpus(n=150, dim=16, seed=21)
-    nm = _norm(mat.astype(np.float64))
-    books = pq_train(nm, 4, 16)
-    codes = pq_assign(nm, books)
-    books_ref = ray.put(books)
-    codes_ref = ray.put((ids, codes))
-
-    outs = []
-    for chunk in (7, 64, 10**6):
-        fn = pq_scan_stage(books_ref, codes_ref, k=5, corpus_chunk=chunk)
-        got = fn(tbl)
-        outs.append(list(zip(got.column("vec_id").to_pylist(),
-                             got.column("neighbor_id").to_pylist(),
-                             got.column("rank").to_pylist())))
-    assert outs[0] == outs[1] == outs[2]
-    assert len(outs[0]) == 150 * 5
-
-    with pytest.raises(ValueError, match="m_sub"):
-        pq_train(nm, 16, 16)     # ds=1 divides, but 16 bytes > int64
-    with pytest.raises(ValueError, match="n_codes"):
-        pq_train(nm, 4, 512)     # wraps the uint8 cast
-
-
 def test_int_ann_partition_invariance_and_recall():
     """The SQL-twinnable integer variants (ann_ivf_int_pipeline /
     ann_pq_int_pipeline) must be BIT-IDENTICAL across partitionings —
     the whole point of integer partials is order-independent merging —
-    and must still recover planted near-duplicate twins (the quality
-    gate the float tests use)."""
+    must give every query a full, contiguous 1..k rank list, and must
+    still recover planted near-duplicate twins."""
     from mapchete_xarray_ray.stages.ann import (
         ann_ivf_int_pipeline,
         ann_pq_int_pipeline,
@@ -316,6 +166,12 @@ def test_int_ann_partition_invariance_and_recall():
                                    got.column("neighbor_id").to_pylist(),
                                    got.column("rank").to_pylist())))
         assert runs[0] == runs[1], pipeline.__name__
+        per_q = {}
+        for v, _n, r in runs[0]:
+            per_q.setdefault(v, []).append(r)
+        assert set(per_q) == set(ids.tolist()), pipeline.__name__
+        assert all(sorted(rs) == [1, 2, 3] for rs in per_q.values()), \
+            pipeline.__name__
         twin_of = {int(i): int((i + 150) % 300) for i in ids}
         got_r1 = {v: n for v, n, r in runs[0] if r == 1}
         hits = sum(1 for v, n in got_r1.items() if n == twin_of[v])
@@ -330,9 +186,7 @@ def test_int_pipelines_empty_corpus():
 
     from mapchete_xarray_ray.stages.ann import (
         ann_ivf_int_pipeline,
-        ann_ivf_pipeline,
         ann_pq_int_pipeline,
-        ann_pq_pipeline,
     )
 
     empty = ray.data.from_arrow(pa.table({
@@ -346,10 +200,6 @@ def test_int_pipelines_empty_corpus():
          {"vec_id", "neighbor_id", "rank", "cosine"}),
         (lambda: ann_pq_int_pipeline(empty, 8, 3, m_sub=4, n_codes=4),
          {"vec_id", "neighbor_id", "rank"}),
-        (lambda: ann_ivf_pipeline(empty, 8, 3),
-         {"vec_id", "neighbor_id", "rank", "cosine"}),
-        (lambda: ann_pq_pipeline(empty, 8, 3, m_sub=4, n_codes=4),
-         {"vec_id", "neighbor_id", "rank"}),
     ]
     for make, cols in cases:
         out = make()
@@ -359,3 +209,56 @@ def test_int_pipelines_empty_corpus():
         assert tab.num_rows == 0
         assert set(tab.column_names) >= cols or tab.num_columns == 0, \
             (set(tab.column_names), cols)
+
+
+def test_pq_int_scan_chunking_bitexact():
+    """The integer-ADC scan's running top-k merge gives the same rows at
+    any corpus chunk size (top-k under a total order is
+    chunk-mergeable)."""
+    from mapchete_xarray_ray.stages.ann import (
+        _embedding_matrix,
+        pq_assign_int,
+        pq_int_scan_stage,
+        pq_train_int,
+        quantize_q,
+    )
+
+    tbl, ids, _mat = _corpus(n=150, dim=16, seed=21)
+    books = pq_train_int(ray.data.from_arrow(tbl).repartition(3), dim=16,
+                         m_sub=4, n_codes=16, rounds=2)
+    codes = pq_assign_int(quantize_q(_embedding_matrix(tbl, "embedding")),
+                          books)
+    books_ref = ray.put(books)
+    codes_ref = ray.put((ids, codes))
+
+    outs = []
+    for chunk in (7, 64, 10**6):
+        got = pq_int_scan_stage(books_ref, codes_ref, k=5,
+                                corpus_chunk=chunk)(tbl)
+        outs.append(list(zip(got.column("vec_id").to_pylist(),
+                             got.column("neighbor_id").to_pylist(),
+                             got.column("rank").to_pylist())))
+    assert outs[0] == outs[1] == outs[2]
+    assert len(outs[0]) == 150 * 5
+
+
+def test_pq_int_codes_are_uint8_and_n_codes_is_capped():
+    """Codes are one byte each, so a codebook of more than 256 codes
+    must fail loud instead of wrapping every code."""
+    import pytest
+
+    from mapchete_xarray_ray.stages.ann import (
+        _embedding_matrix,
+        pq_assign_int,
+        pq_train_int,
+        quantize_q,
+    )
+
+    tbl, _ids, _mat = _corpus(n=40, dim=16, seed=3)
+    ds = ray.data.from_arrow(tbl)
+    with pytest.raises(ValueError, match="n_codes"):
+        pq_train_int(ds, dim=16, m_sub=4, n_codes=257)
+    books = pq_train_int(ds, dim=16, m_sub=4, n_codes=8, rounds=1)
+    codes = pq_assign_int(quantize_q(_embedding_matrix(tbl, "embedding")),
+                          books)
+    assert codes.dtype == np.uint8 and codes.shape == (40, 4)

@@ -105,6 +105,25 @@ def test_resume_drops_complete_tiles_before_extraction(tmp_path, plan):
     assert len(completed_tiles(store)) == len(store.existing_tiles())
 
 
+@pytest.mark.parametrize("plan", [run_pipeline, run_pipeline_salted],
+                         ids=["straight", "salted"])
+def test_rerun_of_a_complete_archive_writes_nothing(tmp_path, plan):
+    """A continue-mode re-run over an archive that is already complete
+    has no tile left to build: it writes 0 tiles and touches no chunk
+    file, on either plan."""
+    pages = make_pages(n=300)
+    spec = default_spec(str(tmp_path / "cur.zarr"))
+    collect_table(plan(ray.data.from_arrow(pages), spec, mode="continue"))
+    before = _chunk_snapshot(spec)
+    assert before
+    time.sleep(0.02)  # mtime separation: a rewrite would show
+
+    out = collect_table(plan(ray.data.from_arrow(pages), spec,
+                             mode="continue"))
+    assert out.num_rows == 0
+    assert _chunk_snapshot(spec) == before
+
+
 def test_refresh_recomputes_exactly_the_changed_tiles(tmp_path):
     pages_v1 = make_pages(n=400)
     extra = make_pages(n=60, seed=99)

@@ -1,12 +1,12 @@
-"""Exact-equality tests for the partition-based kNN/ANN top-k kernel and
-the loop-free PPJoin pair expansion.
+"""Exact-equality tests for the partition-based kNN/ANN top-k kernel, the
+per-id partial top-k merge and the loop-free PPJoin pair expansion.
 
 Each kernel is compared against the straightforward implementation it
 replaced, kept here as the oracle: the full per-row lexsort for
-``rowwise_topk`` and the per-gram ``triu_indices`` loop for
-``ppjoin_pairs_bucketed``. Equality is on every output array, in order
-and dtype — not only on value keys — so tie order and NaN handling are
-pinned too.
+``rowwise_topk``, the old kNN merge body for ``topk_per_id`` and the
+per-gram ``triu_indices`` loop for ``ppjoin_pairs_bucketed``. Equality
+is on every output array, in order and dtype — not only on value keys —
+so tie order and NaN handling are pinned too.
 """
 
 import numpy as np
@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapchete_xarray_ray.nputil import topk_per_id
 from mapchete_xarray_ray.stages.ann import rowwise_topk
 from mapchete_xarray_ray.stages.dedup import ppjoin_pairs_bucketed
+from mapchete_xarray_ray.stages.knn import _merge_topk
 
 
 def _topk_oracle(key, q_ids, c_ids, k):
@@ -101,6 +103,72 @@ def test_rowwise_topk_large_random(k):
     neg[rng.random(neg.shape) < 0.05] = np.nan
     _assert_same(rowwise_topk(neg, q_ids, c_ids, k),
                  _topk_oracle(neg, q_ids, c_ids, k))
+
+
+# --- per-id partial top-k merge --------------------------------------------
+
+
+def _merge_oracle(ids, nbs, d2s, k, guaranteed_d2=np.inf, need=0):
+    """The kNN merge as it was: sort by (id, d2, neighbor), drop later
+    copies of an (id, neighbor) pair by a second sort, rank by run
+    arithmetic, then fold the per-id resolved flag."""
+    order = np.lexsort((nbs, d2s, ids))
+    ids, nbs, d2s = ids[order], nbs[order], d2s[order]
+    first = np.ones(len(ids), dtype=bool)
+    if len(ids) > 1:
+        o2 = np.lexsort((d2s, nbs, ids))
+        dup = np.zeros(len(ids), dtype=bool)
+        dup[1:] = (ids[o2][1:] == ids[o2][:-1]) & (nbs[o2][1:] == nbs[o2][:-1])
+        keep_mask = np.ones(len(ids), dtype=bool)
+        keep_mask[o2[dup]] = False
+        first = keep_mask
+    ids, nbs, d2s = ids[first], nbs[first], d2s[first]
+    new_run = np.ones(len(ids), dtype=bool)
+    new_run[1:] = ids[1:] != ids[:-1]
+    run_starts = np.flatnonzero(new_run)
+    rank = np.arange(len(ids)) - np.repeat(run_starts, np.diff(
+        np.append(run_starts, len(ids)))) + 1
+    keep = rank <= k
+    ids, nbs, d2s, rank = ids[keep], nbs[keep], d2s[keep], rank[keep]
+    new_run = np.ones(len(ids), dtype=bool)
+    new_run[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(np.append(starts, len(ids)))
+    last_d2 = d2s[starts + counts - 1]
+    resolved = np.repeat((counts >= need) & (last_d2 < guaranteed_d2), counts)
+    return ids, nbs, d2s, rank, resolved
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_topk_per_id_equals_old_knn_merge(data):
+    """Duplicate (id, neighbor) rows with equal and unequal keys, tie-
+    heavy keys, NaN keys, and k below, at and above the run length."""
+    n = data.draw(st.integers(0, 40))
+    k = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    ids = rng.integers(0, 5, n)
+    nbs = rng.integers(0, 7, n)
+    key = rng.choice([0.0, 0.5, 1.0, 2.0], n)
+    if data.draw(st.booleans()):
+        key[rng.random(n) < 0.2] = np.nan
+    sel, rank = topk_per_id(ids, nbs, key, k)
+    for g, w in zip((ids[sel], nbs[sel], key[sel], rank),
+                    _merge_oracle(ids, nbs, key, k)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f")
+
+    guaranteed = data.draw(st.sampled_from([0.75, 1.5, np.inf]))
+    need = data.draw(st.integers(0, 4))
+    got = _merge_topk(k, guaranteed, need)(pa.table({
+        "id": pa.array(ids, pa.int64()),
+        "neighbor_id": pa.array(nbs, pa.int64()),
+        "dist2": pa.array(key, pa.float64())}))
+    for name, w in zip(["id", "neighbor_id", "dist2", "rank", "resolved"],
+                       _merge_oracle(ids, nbs, key, k, guaranteed, need)):
+        g = got.column(name).to_numpy(zero_copy_only=False)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f"), name
 
 
 # --- PPJoin pair expansion ------------------------------------------------
