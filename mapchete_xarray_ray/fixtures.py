@@ -2,10 +2,10 @@
 
 ``pages`` table — the BASELINE.json ``input_hint`` shape:
 ``(url:string, warc_ts:timestamp[us], html:binary, text:string,
-lang:string)``. Hosts are Zipf-skewed and one "hot host" cluster is
-geocoded into a single tile so the skew/salting path is exercised.
-``text`` is the ground-truth extraction of ``html`` (computed with the
-shared kernel, mapchete_xarray_ray.functions.extract).
+lang:string)``. Hosts are Zipf-skewed with one "hot host"; the
+url-hash geocode still spreads its pages over every tile. ``text`` is
+the ground-truth extraction of ``html`` (computed with the shared
+kernel, mapchete_xarray_ray.functions.extract).
 
 ``regions`` table — polygon side of the PIP join: tile-aligned
 rectangles plus convex/concave polygons straddling tile boundaries and
@@ -76,12 +76,10 @@ def make_pages(
 
     ``hot_frac`` of rows land on host 0 (the Zipf head) — host skew in
     the URL distribution, mirroring Common-Crawl's head-heavy hosts.
-    The url-hash geocode spreads points uniformly regardless, so the
-    SPATIAL hot-cell path is exercised in tests by lowering
-    ``hot_threshold`` in run_pipeline_salted (every tile goes through
-    the salted plan) rather than by biasing the geocode. ``dup_frac``
-    of rows are exact re-crawls (same url + html, later warc_ts) for
-    dedup tests.
+    The url-hash geocode spreads points uniformly regardless, so host
+    skew makes no hot tile; kNN's hot-cell salting is tested on planted
+    points instead (tests/test_skew.py). ``dup_frac`` of rows are exact
+    re-crawls (same url + html, later warc_ts) for dedup tests.
     """
     rng = np.random.default_rng(seed)
     # Zipf-skewed host choice

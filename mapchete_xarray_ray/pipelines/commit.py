@@ -2,8 +2,8 @@
 
 The reference has a single output write (mapchete_xarray/_output.py:
 353-390): one tile's tensor in, its chunks out. Here every writer —
-the straight and salted flagship plans, the process hook and the
-pyramid step — only BUILDS the ``(bands, h, w)`` / ``(bands, T, h, w)``
+the flagship's count rasterize, the process hook and the pyramid
+step — only BUILDS the ``(bands, h, w)`` / ``(bands, T, h, w)``
 tensor and hands it to :func:`finalize_tile`, which owns everything
 that must mean the same thing in every lineage record: the chunk
 write, its timing, the checksum, ``time_idxs``, ``cell_range``, the

@@ -23,19 +23,15 @@ Scale decisions measured at 2-4M pages (see BASELINE.md):
   the all-to-all never carries text/html/geo floats (2x end-to-end);
 - block count into the groupby ~1.5-3x the CPU count (Ray's sort
   exchange cost is per-block; see run_pipeline's repartition_blocks);
-- the done-tile set and hot-tile set are ray.put broadcasts, computed
-  once on the driver from directory listings.
+- the done-tile set is a ray.put broadcast, computed once on the
+  driver from the lineage records and chunk listings.
 
-:func:`run_pipeline_salted` is the explicit-skew variant (A5 hot-tile
-pre-count, url-hash salting that preserves exact dedup, associative
-merge of sparse partial counts keyed by (time index, pixel)). It
-accepts every spec the straight path accepts, time-axis specs
-included, and is byte-identical to it — summaries, chunks and lineage
-records (tests/test_skew.py); it differs only in the physical plan.
-
-Both plans share one front end (:func:`_front_end`) and end every tile
-in :func:`~mapchete_xarray_ray.pipelines.commit.finalize_tile`; the
-writers here only build the tile tensor.
+There is one physical plan and no tile salting: the geocode places
+every page by a uniform hash of its url, so a host that dominates the
+input makes no hot tile (kNN places points by their coordinates and
+salts hot cells instead — stages/knn.py). Every tile ends in
+:func:`~mapchete_xarray_ray.pipelines.commit.finalize_tile`; the
+writer here only builds the tile tensor.
 
 A user ``process_fn(tile, pages, spec)`` (SURVEY §2.10) replaces the
 default count-rasterize per tile; its return value is normalized per
@@ -50,8 +46,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-
-from mapchete_xarray_ray.collect import collect_table
 
 from mapchete_xarray_ray.fixtures import DEFAULT_BOUNDS, DEFAULT_ZOOM, make_pages
 from mapchete_xarray_ray.grid import unpack_tile_id
@@ -171,11 +165,10 @@ def output_cleaned(data, spec: JobSpec) -> np.ndarray:
     return data.astype(spec.dtype)
 
 
-
 def _narrow_compact(spec: JobSpec):
-    """The ONE narrow shuffle projection (url, warc_ts, band masks,
-    tile_id, pix) shared by the straight and salted plans — a change to
-    the shuffle row shape happens here exactly once."""
+    """The narrow shuffle projection (url, warc_ts, band masks,
+    tile_id, pix) of the default process: the writer needs no
+    string or geo work after the shuffle."""
     from mapchete_xarray_ray.stages.rasterize import local_pixel_indices
 
     if len(spec.band_names) != 3:
@@ -217,52 +210,23 @@ def _process_compact(spec: JobSpec):
     return compact
 
 
-def _front_end(ds: ray.data.Dataset, spec: JobSpec, mode: str,
-               already_extracted: bool, compact) -> ray.data.Dataset:
-    """The front end both physical plans share: prepare the archive,
-    then assign -> [continue mode] drop the rows of complete tiles ->
-    extract -> compact. A row's tile depends only on its ``url``, so
-    complete tiles are dropped before any html is turned into text,
-    and long before the shuffle."""
-    store = ZarrTileStore(spec)
-    store.prepare()
-    ds = ds.map_batches(
-        assign_pages_fn(spec.snapped_bounds, spec.zoom, spec.grid, spec.cell_zoom,
-                        pyramid=spec.pyramid),
-        batch_format="pyarrow",
-    )
-    if mode == "continue":
-        done = completed_tiles(store)
-        if done:
-            done_ref = ray.put(np.array(sorted(done), dtype=np.int64))
-
-            def drop_done(batch: pa.Table) -> pa.Table:
-                keep = ~np.isin(batch.column("tile_id").to_numpy(),
-                                ray.get(done_ref))
-                return batch.filter(pa.array(keep))
-
-            ds = ds.map_batches(drop_done, batch_format="pyarrow")
-    if not already_extracted:
-        ds = ds.map_batches(extract_stage, batch_format="pyarrow")
-    # project rows down BEFORE the shuffle (SURVEY.md §7 hard part 6):
-    # text/html never enter the all-to-all exchange
-    return ds.map_batches(compact, batch_format="pyarrow")
-
-
-def _first_crawls(tbl: pa.Table, *keys: str) -> pa.Table:
-    """Exact url dedup: the earliest crawl (by warc_ts) of each url
-    within each run of ``keys``. Every re-crawl of a url shares those
-    keys (the geocode key IS the url), so the dedup stays exact. Rows
-    come back sorted by (keys, url)."""
+def _first_crawls(tbl: pa.Table) -> pa.Table:
+    """Exact url dedup: the earliest crawl (by warc_ts) of each url.
+    Every re-crawl of a url lands in the same tile group (the geocode
+    key IS the url), so the dedup stays exact. Rows come back sorted
+    by url."""
     tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("warc_ts", "ascending")]))
-    order, starts, _ = segments(*(tbl.column(k).to_numpy(zero_copy_only=False)
-                                  for k in (*keys, "url")))
+    order, starts, _ = segments(tbl.column("url").to_numpy(zero_copy_only=False))
     return tbl.take(order[starts])
 
 
-def _narrow_rows(store: ZarrTileStore, tbl: pa.Table):
-    """Narrow rows -> (time index, flat pixel, (3, n) band counts). The
-    time index is the store's own mapping (0 without a time axis)."""
+def _count_tensor(store: ZarrTileStore, tbl: pa.Table):
+    """The default process over one tile's narrow rows: per-pixel
+    (pages, English pages, long-text pages) counts, clipped to the
+    output dtype. Returns the ``(3, h, w)`` tensor, or on a time-axis
+    archive the ``(3, T, h, w)`` tensor over the time slices present
+    plus their timestamps (the store's own time mapping)."""
+    spec, px = store.spec, store.chunk_px
     if store.has_time:
         ts, inv = np.unique(tbl.column("warc_ts").to_numpy(zero_copy_only=False),
                             return_inverse=True)
@@ -270,20 +234,9 @@ def _narrow_rows(store: ZarrTileStore, tbl: pa.Table):
     else:
         tidx = np.zeros(tbl.num_rows, dtype=np.int64)
     pix = tbl.column("pix").to_numpy(zero_copy_only=False).astype(np.int64)
-    counts = np.stack([np.ones(tbl.num_rows, dtype=np.int64)] + [
+    counts = [np.ones(tbl.num_rows, dtype=np.int64)] + [
         tbl.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
-        for c in ("is_en", "long_text")])
-    return tidx, pix, counts
-
-
-def _count_tensor(store: ZarrTileStore, tidx, pix, counts):
-    """The default process: per-pixel (pages, English pages, long-text
-    pages) counts, clipped to the output dtype. Entries may repeat a
-    (time index, pixel) key — rows or salted partial sums alike — and
-    are summed. Returns the ``(3, h, w)`` tensor, or on a time-axis
-    archive the ``(3, T, h, w)`` tensor over the time slices present
-    plus their timestamps."""
-    spec, px = store.spec, store.chunk_px
+        for c in ("is_en", "long_text")]
     present, tpos = np.unique(tidx, return_inverse=True)
     # sum sparse, then scatter: only touched pixels are ever clipped
     key, *sums = group_sum(tpos * (px * px) + pix, *counts)
@@ -311,7 +264,7 @@ def _tile_writer(spec: JobSpec, process_fn=None):
         if process_fn is None:
             # masks and flat pixel index were precomputed BEFORE the
             # shuffle (see _narrow_compact): no string/geo work here
-            tensor, timestamps = _count_tensor(store, *_narrow_rows(store, group))
+            tensor, timestamps = _count_tensor(store, group)
         else:
             data = process_fn(TileContext(spec, zoom, row, col), group, spec)
             if isinstance(data, str) and data == "empty":
@@ -324,7 +277,6 @@ def _tile_writer(spec: JobSpec, process_fn=None):
 
 
 def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
-                 already_extracted: bool = False,
                  process_fn=None,
                  repartition_blocks: int | None = None) -> ray.data.Dataset:
     """Run E1 over a pages Dataset. ``mode``: 'continue' (skip complete
@@ -342,7 +294,30 @@ def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
     # end-to-end than shipping lon/lat/lang/text_len at 2M pages.
     compact = (_process_compact(spec) if process_fn is not None
                else _narrow_compact(spec))
-    ds = _front_end(ds, spec, mode, already_extracted, compact)
+    store = ZarrTileStore(spec)
+    store.prepare()
+    ds = ds.map_batches(
+        assign_pages_fn(spec.snapped_bounds, spec.zoom, spec.grid, spec.cell_zoom,
+                        pyramid=spec.pyramid),
+        batch_format="pyarrow",
+    )
+    # a row's tile depends only on its url, so the rows of complete
+    # tiles are dropped before any html is turned into text
+    if mode == "continue":
+        done = completed_tiles(store)
+        if done:
+            done_ref = ray.put(np.array(sorted(done), dtype=np.int64))
+
+            def drop_done(batch: pa.Table) -> pa.Table:
+                keep = ~np.isin(batch.column("tile_id").to_numpy(),
+                                ray.get(done_ref))
+                return batch.filter(pa.array(keep))
+
+            ds = ds.map_batches(drop_done, batch_format="pyarrow")
+    ds = ds.map_batches(extract_stage, batch_format="pyarrow")
+    # project rows down BEFORE the shuffle (SURVEY.md §7 hard part 6):
+    # text/html never enter the all-to-all exchange
+    ds = ds.map_batches(compact, batch_format="pyarrow")
 
     # consolidate blocks before the groupby shuffle: the sort's cost is
     # dominated by per-block overhead (S blocks -> S^2 shuffle objects);
@@ -357,142 +332,6 @@ def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
 
     return ds.groupby("tile_id").map_groups(_tile_writer(spec, process_fn),
                                             batch_format="pyarrow")
-
-
-def _salted_partial_writer(spec: JobSpec):
-    """map_groups fn over a BUCKET of (tile_id, salt) segments: exact
-    url dedup + partial count per segment; emits one row per segment
-    carrying its partial as SPARSE int64 ``(4, nnz)`` rows [key; pages;
-    en; long] with key = time index * h*w + pixel, the time index being
-    the store's own mapping — so partials of one tile merge by key.
-
-    Salt = stable_hash(url) % n_salt, so every re-crawl of a url lands
-    in the SAME (tile, salt) segment — first-by-warc_ts dedup stays
-    exact under salting. Grouping by a coarse bucket (not per segment)
-    keeps Ray's per-group call overhead off the critical path when MANY
-    tiles are hot (measured 252s -> seconds at 8192 all-hot segments).
-    A partial touches ~rows/n_salt pixels of the tile, so the sparse
-    form is orders of magnitude lighter than the dense tensor.
-    """
-
-    def fn(group: pa.Table) -> pa.Table:
-        group = _first_crawls(group, "tile_id", "salt")
-        store = ZarrTileStore(spec)
-        tidx, pix, counts = _narrow_rows(store, group)
-        key = tidx * (spec.chunk_px * spec.chunk_px) + pix
-        tid = group.column("tile_id").to_numpy(zero_copy_only=False)
-        _, starts, ends = segments(
-            tid, group.column("salt").to_numpy(zero_copy_only=False))
-        bufs = [np.stack(group_sum(key[s:e], *counts[:, s:e])).tobytes()
-                for s, e in zip(starts, ends)]
-        return pa.table({
-            "tile_id": pa.array(tid[starts], pa.int64()),
-            "n_pages": pa.array((ends - starts).astype(np.int64)),
-            "grid": pa.array(bufs, pa.large_binary()),
-        })
-
-    return fn
-
-
-def _salted_merge_writer(spec: JobSpec):
-    """map_groups fn over a BUCKET of tiles: sum each tile's salted
-    partials into the same tensor the straight plan builds and commit
-    it through :func:`finalize_tile`. The python loop per tile does
-    real IO work, so the coarse bucket only amortizes Ray's per-group
-    dispatch."""
-
-    def fn(group: pa.Table) -> pa.Table:
-        tid = group.column("tile_id").to_numpy(zero_copy_only=False)
-        n_pages = group.column("n_pages").to_numpy(zero_copy_only=False)
-        bufs = group.column("grid").to_pylist()
-        store = ZarrTileStore(spec)
-        npx = spec.chunk_px * spec.chunk_px
-        order, starts, ends = segments(tid)
-        rows = []
-        for s, e in zip(starts, ends):
-            idx = order[s:e]
-            part = np.concatenate([np.frombuffer(bufs[j], dtype=np.int64)
-                                   .reshape(4, -1) for j in idx], axis=1)
-            tensor, timestamps = _count_tensor(store, part[0] // npx,
-                                               part[0] % npx, part[1:])
-            _z, row, col = unpack_tile_id(tid[idx[0]])
-            rows.append(finalize_tile(store, row, col, tensor,
-                                      n_pages[idx].sum(), timestamps,
-                                      salted_partials=len(idx)))
-        return summary_table(rows)
-
-    return fn
-
-
-def run_pipeline_salted(ds: ray.data.Dataset, spec: JobSpec,
-                        hot_threshold: int = 50_000, n_salt: int = 8,
-                        mode: str = "continue",
-                        already_extracted: bool = False) -> ray.data.Dataset:
-    """E1 with explicit skew handling (SURVEY.md §4 skew row, A5):
-
-    1. the front end of :func:`run_pipeline`, then ``materialize()``
-       the narrow projection (it is re-read twice);
-    2. A5 pre-count rows per tile with a partial-then-small ``groupby``;
-       tiles above ``hot_threshold`` are HOT (driver holds only the
-       per-tile counts — tiny);
-    3. hot tiles' rows get ``salt = stable_hash(url) % n_salt`` (cold
-       tiles salt 0) and the expensive dedup+rasterize group work runs
-       per (tile_id, salt) — a hot tile is processed by ``n_salt``
-       parallel tasks instead of one straggler;
-    4. the per-tile merge ('+' of sparse partial counts keyed by (time
-       index, pixel)) moves only ``n_salt`` small payloads per tile,
-       then commits each tile exactly once.
-
-    Output — summaries, chunk bytes and lineage checksums/time_idxs —
-    is identical to :func:`run_pipeline` (asserted in
-    tests/test_skew.py), time-axis specs included: salting changes the
-    physical plan only.
-    """
-    ds = _front_end(ds, spec, mode, already_extracted, _narrow_compact(spec))
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    ds = ds.repartition(max(8, ncpu * 3)).materialize()
-
-    # A5: per-tile counts (partial per batch -> small groupby -> driver)
-    def tile_counts(batch: pa.Table) -> pa.Table:
-        t = batch.group_by("tile_id").aggregate([("tile_id", "count")])
-        return t.rename_columns(["tile_id", "n"])
-
-    counts = collect_table(ds.map_batches(tile_counts, batch_format="pyarrow")
-                           .groupby("tile_id").sum("n"))
-    hot = np.empty(0, dtype=np.int64)  # nothing left to build: no hot tile
-    if counts.num_rows:
-        hot = counts.filter(
-            pc.greater(counts.column("sum(n)"), hot_threshold)
-        ).column("tile_id").to_numpy().astype(np.int64)
-    hot_ref = ray.put(hot)
-
-    from mapchete_xarray_ray.functions.geocode import stable_hash64
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        tid = batch.column("tile_id").to_numpy()
-        is_hot = np.isin(tid, ray.get(hot_ref))
-        salt = np.zeros(len(tid), dtype=np.int64)
-        if is_hot.any():
-            urls = batch.column("url").to_numpy(zero_copy_only=False)
-            salt[is_hot] = (stable_hash64(urls[is_hot]) %
-                            np.uint64(n_salt)).astype(np.int64)
-        batch = batch.append_column("salt", pa.array(salt))
-        # coarse shuffle keys: whole (tile, salt) segments per bucket —
-        # Ray's per-group dispatch is amortized over many segments
-        pb = ((tid * 8191 + salt) % 256).astype(np.int64)
-        return batch.append_column("pbucket", pa.array(pb))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow")
-    partials = salted.groupby("pbucket").map_groups(
-        _salted_partial_writer(spec), batch_format="pyarrow")
-
-    def add_tbucket(batch: pa.Table) -> pa.Table:
-        tb = (batch.column("tile_id").to_numpy() % 64).astype(np.int64)
-        return batch.append_column("tbucket", pa.array(tb))
-
-    return (partials.map_batches(add_tbucket, batch_format="pyarrow")
-            .groupby("tbucket")
-            .map_groups(_salted_merge_writer(spec), batch_format="pyarrow"))
 
 
 def run_flagship(sf_dir: str, out_path: str | None = None, n_pages: int = 2000,

@@ -3746,9 +3746,6 @@ def _tile_write_bucket(spec_ref, per_tile):
     from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 
     def fn(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "tile_id" not in group.column_names:
-            return pa.table({"tile_row": pa.array([], pa.int64()),
-                             "tile_col": pa.array([], pa.int64())})
         sp = ray.get(spec_ref)
         store = ZarrTileStore(sp)
         o, starts, ends = segments(
@@ -3925,11 +3922,8 @@ def q_store_roundtrip_prepart(sf_dir: str):
     write_bucket = _tile_write_bucket(spec_ref, _per_tile_counts)
 
     def write_from_partition(batch: pa.Table) -> pa.Table:
-        outs = [write_bucket(pq.read_table(pdir))
-                for pdir in batch.column("pdir").to_pylist()]
-        return (pa.concat_tables(outs) if outs else
-                pa.table({"tile_row": pa.array([], pa.int64()),
-                          "tile_col": pa.array([], pa.int64())}))
+        return pa.concat_tables([write_bucket(pq.read_table(pdir))
+                                 for pdir in batch.column("pdir").to_pylist()])
 
     work = ray.data.from_arrow(pa.table({"pdir": pa.array(pdirs)}))
     written = collect_table(

@@ -640,18 +640,12 @@ def pq_int_scan_stage(books_ref, codes_ref, k: int,
     is the exact int64 dot of the quantized query subvector with each
     integer codeword; scores are integer sums (no float accumulation
     order), ranked by (score DESC, neighbor_id ASC). The broadcast
-    code table streams in ``corpus_chunk`` slices, each folded into a
-    running per-row top-k: top-k under a total order is
-    chunk-mergeable, so the result is identical at any chunk size and
-    score memory is (Q, corpus_chunk), never (Q, N). Int scores are
-    exact in float64 (|score| << 2^53), so the float key sort is still
-    exact."""
-
-    def _row_topk(key: np.ndarray, ids: np.ndarray, kk: int):
-        ids2 = np.broadcast_to(ids, key.shape)
-        order = np.lexsort((ids2, key), axis=-1)[:, :min(kk, key.shape[1])]
-        return (np.take_along_axis(key, order, axis=1),
-                np.take_along_axis(ids2, order, axis=1))
+    code table streams in ``corpus_chunk`` slices; each slice's per-row
+    top-k (:func:`rowwise_topk`) is kept and one ``topk_per_id`` merge
+    per batch ranks them: top-k under a total order is chunk-mergeable,
+    so the result is identical at any chunk size and score memory is
+    (Q, corpus_chunk), never (Q, N). Int scores are exact in float64
+    (|score| << 2^53), so ``rowwise_topk``'s float key is still exact."""
 
     def fn(batch: pa.Table) -> pa.Table:
         books = ray.get(books_ref)
@@ -662,28 +656,25 @@ def pq_int_scan_stage(books_ref, codes_ref, k: int,
         nq = len(qq)
         lut = np.einsum("qmd,mkd->qmk",
                         qq.reshape(nq, m_sub, ds_), books)  # int64 exact
-        best_key = np.full((nq, 0), np.inf)
-        best_id = np.full((nq, 0), 0, dtype=np.int64)
+        rows, nbs, keys = [], [], []
         for s0 in range(0, len(c_ids), corpus_chunk):
             cc = c_codes[s0:s0 + corpus_chunk]
             cid = c_ids[s0:s0 + corpus_chunk]
             sc = np.zeros((nq, len(cc)), dtype=np.int64)
             for m in range(m_sub):
                 sc += lut[:, m, cc[:, m]]
-            key = np.where(q_ids[:, None] == cid[None, :], np.inf,
-                           -sc.astype(np.float64))
-            ck, ci = _row_topk(key, cid, k)
-            best_key, best_id = _row_topk(
-                np.concatenate([best_key, ck], axis=1),
-                np.concatenate([best_id, ci], axis=1), k)
-        finite = np.isfinite(best_key)
-        t = finite.sum(axis=1)
+            qs, cs, _ = rowwise_topk(-sc, q_ids, cid, k)
+            rows.append(qs)
+            nbs.append(cid[cs])
+            keys.append(-sc[qs, cs])
+        # merge the chunks' top-k per batch row: rows stay in batch
+        # order, ranked by (score desc, neighbor_id asc)
+        rows, nbs = np.concatenate(rows), np.concatenate(nbs)
+        sel, rank = topk_per_id(rows, nbs, np.concatenate(keys), k)
         return pa.table({
-            "vec_id": pa.array(np.repeat(q_ids, t), pa.int64()),
-            "neighbor_id": pa.array(best_id[finite], pa.int64()),
-            "rank": pa.array(np.broadcast_to(
-                np.arange(1, best_key.shape[1] + 1),
-                best_key.shape)[finite].astype(np.int64)),
+            "vec_id": pa.array(q_ids[rows[sel]], pa.int64()),
+            "neighbor_id": pa.array(nbs[sel], pa.int64()),
+            "rank": pa.array(rank, pa.int64()),
         })
 
     return fn

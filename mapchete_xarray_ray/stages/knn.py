@@ -78,8 +78,8 @@ def _replicate(ncols: int, nrows: int, lo: int, hi: int, as_query: bool,
         crow = batch.column("crow").to_numpy(zero_copy_only=False)
         ccol = batch.column("ccol").to_numpy(zero_copy_only=False)
         rows = crow[:, None] + dr[None, :]
-        cols = (ccol[:, None] + dc[None, :]) % ncols
-        valid = (rows >= 0) & (rows < nrows)
+        cols = ccol[:, None] + dc[None, :]
+        valid = (rows >= 0) & (rows < nrows) & (cols >= 0) & (cols < ncols)
         idx = np.broadcast_to(np.arange(n)[:, None], rows.shape)[valid]
         grp = rows[valid] * ncols + cols[valid]
         if salt is None:
@@ -251,11 +251,11 @@ def knn_pipeline(points: ray.data.Dataset, k: int, cell_span: float,
     ``nrows x ncols`` cells of edge ``cell_span`` anchored at
     (origin_x, origin_y), y growing DOWN (pixel/tile row order).
 
-    Skew (A5, same pre-count pattern as the flagship salted plan): a
-    cell holding more than ``hot_cell_limit`` points would otherwise
-    compute its quadratic distance matrix in ONE straggler task. The
-    pre-count is a per-batch partial -> small groupby (rows = occupied
-    cells) -> driver fold; hot cells split their candidates into
+    Skew (A5, the hot-cell pre-count): a cell holding more than
+    ``hot_cell_limit`` points would otherwise compute its quadratic
+    distance matrix in ONE straggler task. The pre-count is a
+    per-batch partial -> small groupby (rows = occupied cells) ->
+    driver fold; hot cells split their candidates into
     ``ceil(count / hot_cell_limit)`` (capped at ``_SALT_MULT``)
     id-hash segments, and queries targeting a hot cell replicate to
     every segment. Output is row-identical to the unsalted plan

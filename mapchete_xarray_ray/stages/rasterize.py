@@ -2,10 +2,9 @@
 
 Given one tile's pages (all rows of one ``tile_id`` group), produce the
 tile tensor ``(bands, h, w)`` (or ``(bands, T, h, w)`` with a time
-axis): per-pixel counts accumulated with ``np.add.at`` — associative,
-so salted partial grids from split hot tiles merge by "+"
-(SURVEY.md §4 skew row). The inverse direction (raster -> vector) is
-``tile_to_points`` which emits one row per non-fill pixel.
+axis): per-pixel counts accumulated with ``np.add.at``. The inverse
+direction (raster -> vector) is ``tile_to_points`` which emits one row
+per non-fill pixel.
 """
 
 from __future__ import annotations

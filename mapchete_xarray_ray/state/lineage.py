@@ -14,7 +14,6 @@ record has one schema:
      cell_range,       # [first, last] cell id the tile covers
      metrics: {write_ms, bytes},  # store-write time, tensor bytes
      time_idxs,        # time-axis archives only: the written slices
-     salted_partials,  # optional: partials merged (salted plan)
      input_fragments}  # optional: source level (pyramid overviews)
 
 A tile is *complete* iff its chunks exist AND its lineage record

@@ -141,6 +141,31 @@ def test_knn_semi_join_path_matches_broadcast_path(monkeypatch):
     assert rows(fast) and rows(fast) == rows(semi)
 
 
+def test_knn_replicate_clips_columns_at_the_grid_edge():
+    """The cell grid is a planar box: a point in the first or last
+    column is copied only to the columns next to it, never wrapped to
+    the far column, whose candidates cannot be its neighbours."""
+    from mapchete_xarray_ray.stages.knn import _SALT_MULT, _replicate
+
+    ncols, nrows = 8, 4
+    crow = np.array([0, 1, 2, 3, 1, 2], dtype=np.int64)
+    ccol = np.array([0, 0, ncols - 1, ncols - 1, 3, 4], dtype=np.int64)
+    batch = pa.table({"id": pa.array(np.arange(6, dtype=np.int64)),
+                      "x": pa.array(ccol + 0.5), "y": pa.array(crow + 0.5),
+                      "crow": pa.array(crow), "ccol": pa.array(ccol)})
+    out = _replicate(ncols, nrows, 0, 1, as_query=True)(batch)
+    ids = out.column("id").to_numpy()
+    cell = out.column("grp").to_numpy() // _SALT_MULT
+    assert np.all(np.abs(cell % ncols - ccol[ids]) <= 1)
+    assert np.all(np.abs(cell // ncols - crow[ids]) <= 1)
+    # home cell plus every in-grid neighbour, each exactly once
+    want = sum((min(r + 1, nrows - 1) - max(r - 1, 0) + 1)
+               * (min(c + 1, ncols - 1) - max(c - 1, 0) + 1)
+               for r, c in zip(crow, ccol))
+    assert out.num_rows == want
+    assert len(set(zip(ids.tolist(), cell.tolist()))) == want
+
+
 def test_customer_order_profile_left_join(sf_dir):
     """LEFT OUTER join + aggregate vs a sequential computation: every
     customer appears exactly once; order-less customers carry zeros."""

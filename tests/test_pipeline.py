@@ -145,15 +145,10 @@ def test_tile_to_points_inverts_rasterize(tmp_path):
 
 def test_lineage_records_carry_write_metrics(tmp_path):
     """north_rule: per-partition lineage + METRICS — every tile record,
-    whichever writer committed it (straight, process hook, salted,
+    whichever writer committed it (count rasterize, process hook,
     pyramid), carries the same fields: write_ms, the logical byte count
     of the written tensor, cell_range, checksum and chunks_written."""
     from mapchete_xarray_ray.fixtures import make_pages
-    from mapchete_xarray_ray.pipelines.flagship import (
-        default_spec,
-        run_pipeline,
-        run_pipeline_salted,
-    )
     from mapchete_xarray_ray.pipelines.pyramid import run_pyramid_step
     from mapchete_xarray_ray.processes.convert import convert_to_tensor
     from mapchete_xarray_ray.state.lineage import read_records
@@ -164,15 +159,11 @@ def test_lineage_records_carry_write_metrics(tmp_path):
     hook = default_spec(str(tmp_path / "hook.zarr"))
     _collect(run_pipeline(ray.data.from_arrow(pages), hook,
                           process_fn=convert_to_tensor))
-    salted = default_spec(str(tmp_path / "salted.zarr"))
-    _collect(run_pipeline_salted(ray.data.from_arrow(pages), salted,
-                                 hot_threshold=5))
     z4 = str(tmp_path / "met4.zarr")
     _collect(run_pyramid_step(spec.path, z4, how="sum"))
 
     for path, n_bytes in ((spec.path, 3 * 256 * 256 * 2),  # 3 uint16 bands
                           (hook.path, 3 * 256 * 256 * 2),
-                          (salted.path, 3 * 256 * 256 * 2),
                           (z4, 3 * 256 * 256 * 4)):  # uint32
         recs = read_records(path)
         assert recs, path

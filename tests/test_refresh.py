@@ -24,11 +24,7 @@ from mapchete_xarray_ray.collect import collect_table
 from mapchete_xarray_ray.fixtures import make_pages, write_pages
 from mapchete_xarray_ray.pipelines.diff import archive_diff_ds, refresh_archive
 from mapchete_xarray_ray.functions.extract import extract_text
-from mapchete_xarray_ray.pipelines.flagship import (
-    default_spec,
-    run_pipeline,
-    run_pipeline_salted,
-)
+from mapchete_xarray_ray.pipelines.flagship import default_spec, run_pipeline
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 from mapchete_xarray_ray.stages.assign import assign_pages_fn
 from mapchete_xarray_ray.state.lineage import completed_tiles, invalidate_tiles
@@ -62,9 +58,7 @@ def _build(pages: pa.Table, path: str):
     return spec
 
 
-@pytest.mark.parametrize("plan", [run_pipeline, run_pipeline_salted],
-                         ids=["straight", "salted"])
-def test_resume_drops_complete_tiles_before_extraction(tmp_path, plan):
+def test_resume_drops_complete_tiles_before_extraction(tmp_path):
     """A continue-mode run drops the rows of complete tiles before any
     html is extracted. Here every such row carries html that
     ``extract_text`` rejects, so the run passes only if it never
@@ -91,8 +85,8 @@ def test_resume_drops_complete_tiles_before_extraction(tmp_path, plan):
         pc.if_else(in_stale, pages.column("html"),
                    pa.scalar(poison, pa.binary())))
 
-    out = collect_table(plan(ray.data.from_arrow(poisoned), spec,
-                             mode="continue"))
+    out = collect_table(run_pipeline(ray.data.from_arrow(poisoned), spec,
+                                     mode="continue"))
     assert list(zip(out.column("tile_row").to_pylist(),
                     out.column("tile_col").to_pylist())) == [stale]
     after = _chunk_snapshot(spec)
@@ -105,21 +99,18 @@ def test_resume_drops_complete_tiles_before_extraction(tmp_path, plan):
     assert len(completed_tiles(store)) == len(store.existing_tiles())
 
 
-@pytest.mark.parametrize("plan", [run_pipeline, run_pipeline_salted],
-                         ids=["straight", "salted"])
-def test_rerun_of_a_complete_archive_writes_nothing(tmp_path, plan):
+def test_rerun_of_a_complete_archive_writes_nothing(tmp_path):
     """A continue-mode re-run over an archive that is already complete
     has no tile left to build: it writes 0 tiles and touches no chunk
-    file, on either plan."""
+    file."""
     pages = make_pages(n=300)
-    spec = default_spec(str(tmp_path / "cur.zarr"))
-    collect_table(plan(ray.data.from_arrow(pages), spec, mode="continue"))
+    spec = _build(pages, str(tmp_path / "cur.zarr"))
     before = _chunk_snapshot(spec)
     assert before
     time.sleep(0.02)  # mtime separation: a rewrite would show
 
-    out = collect_table(plan(ray.data.from_arrow(pages), spec,
-                             mode="continue"))
+    out = collect_table(run_pipeline(ray.data.from_arrow(pages), spec,
+                                     mode="continue"))
     assert out.num_rows == 0
     assert _chunk_snapshot(spec) == before
 
