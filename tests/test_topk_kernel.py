@@ -158,14 +158,23 @@ def test_topk_per_id_equals_old_knn_merge(data):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f")
 
+    # the kNN merge reads a self row (id == neighbor) as a marker of an
+    # unresolved query without candidates: it is no neighbour, and an id
+    # with nothing else keeps one unresolved marker row after the others
     guaranteed = data.draw(st.sampled_from([0.75, 1.5, np.inf]))
     need = data.draw(st.integers(0, 4))
     got = _merge_topk(k, guaranteed, need)(pa.table({
         "id": pa.array(ids, pa.int64()),
         "neighbor_id": pa.array(nbs, pa.int64()),
         "dist2": pa.array(key, pa.float64())}))
-    for name, w in zip(["id", "neighbor_id", "dist2", "rank", "resolved"],
-                       _merge_oracle(ids, nbs, key, k, guaranteed, need)):
+    real = ids != nbs
+    lone = np.setdiff1d(ids[~real], ids[real])
+    want = _merge_oracle(ids[real], nbs[real], key[real], k, guaranteed, need)
+    markers = (lone, lone, np.full(len(lone), np.inf),
+               np.zeros(len(lone), np.int64), np.zeros(len(lone), bool))
+    for name, w, m in zip(["id", "neighbor_id", "dist2", "rank", "resolved"],
+                          want, markers):
+        w = np.concatenate([w, m])
         g = got.column(name).to_numpy(zero_copy_only=False)
         assert g.dtype == w.dtype, name
         assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f"), name
