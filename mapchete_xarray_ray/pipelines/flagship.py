@@ -8,7 +8,7 @@ Shape (SURVEY.md §3 E1):
     -> [continue mode] filter out done tiles # broadcast done-set
     -> map_batches(extract_stage)            # html->text, html dropped
     -> map_batches(compact)                  # NARROW the shuffle rows
-    -> groupby(tile_id).map_groups(_tile_writer)  # dedup+rasterize+commit
+    -> groupby(tile_id).map_groups(tile_writer)   # dedup+rasterize+commit
     -> Dataset of per-tile summaries
 
 One tile = one group = one chunk file per band, so concurrent writers
@@ -29,9 +29,10 @@ Scale decisions measured at 2-4M pages (see BASELINE.md):
 There is one physical plan and no tile salting: the geocode places
 every page by a uniform hash of its url, so a host that dominates the
 input makes no hot tile (kNN places points by their coordinates and
-salts hot cells instead — stages/knn.py). Every tile ends in
-:func:`~mapchete_xarray_ray.pipelines.commit.finalize_tile`; the
-writer here only builds the tile tensor.
+salts hot cells instead — stages/knn.py). The writer is the shared
+:func:`~mapchete_xarray_ray.pipelines.commit.tile_writer`, which ends
+every tile in ``finalize_tile``; this module only supplies the tile
+builder (:func:`_tile_builder`).
 
 A user ``process_fn(tile, pages, spec)`` (SURVEY §2.10) replaces the
 default count-rasterize per tile; its return value is normalized per
@@ -48,12 +49,12 @@ import pyarrow.compute as pc
 import ray
 
 from mapchete_xarray_ray.fixtures import DEFAULT_BOUNDS, DEFAULT_ZOOM, make_pages
-from mapchete_xarray_ray.grid import unpack_tile_id
-from mapchete_xarray_ray.nputil import group_sum, segments
-from mapchete_xarray_ray.pipelines.commit import finalize_tile, summary_table
+from mapchete_xarray_ray.nputil import segments
+from mapchete_xarray_ray.pipelines.commit import tile_writer
 from mapchete_xarray_ray.spec import JobSpec
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore, _rmtree
 from mapchete_xarray_ray.stages.assign import assign_pages_fn
+from mapchete_xarray_ray.stages.rasterize import count_tensor, local_pixel_indices
 from mapchete_xarray_ray.stages.text import extract_stage
 from mapchete_xarray_ray.state.lineage import completed_tiles
 
@@ -169,8 +170,6 @@ def _narrow_compact(spec: JobSpec):
     """The narrow shuffle projection (url, warc_ts, band masks,
     tile_id, pix) of the default process: the writer needs no
     string or geo work after the shuffle."""
-    from mapchete_xarray_ray.stages.rasterize import local_pixel_indices
-
     if len(spec.band_names) != 3:
         raise ValueError(
             "the default process writes exactly 3 bands (count, en count, "
@@ -220,60 +219,43 @@ def _first_crawls(tbl: pa.Table) -> pa.Table:
     return tbl.take(order[starts])
 
 
-def _count_tensor(store: ZarrTileStore, tbl: pa.Table):
-    """The default process over one tile's narrow rows: per-pixel
-    (pages, English pages, long-text pages) counts, clipped to the
-    output dtype. Returns the ``(3, h, w)`` tensor, or on a time-axis
-    archive the ``(3, T, h, w)`` tensor over the time slices present
-    plus their timestamps (the store's own time mapping)."""
-    spec, px = store.spec, store.chunk_px
-    if store.has_time:
-        ts, inv = np.unique(tbl.column("warc_ts").to_numpy(zero_copy_only=False),
-                            return_inverse=True)
-        tidx = np.asarray(store.time_indices(ts), dtype=np.int64)[inv]
-    else:
-        tidx = np.zeros(tbl.num_rows, dtype=np.int64)
-    pix = tbl.column("pix").to_numpy(zero_copy_only=False).astype(np.int64)
-    counts = [np.ones(tbl.num_rows, dtype=np.int64)] + [
-        tbl.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
-        for c in ("is_en", "long_text")]
-    present, tpos = np.unique(tidx, return_inverse=True)
-    # sum sparse, then scatter: only touched pixels are ever clipped
-    key, *sums = group_sum(tpos * (px * px) + pix, *counts)
-    info = np.iinfo(np.dtype(spec.dtype))
-    tensor = np.zeros((3, len(present) * px * px), dtype=spec.dtype)
-    tensor[:, key] = np.clip(sums, info.min, info.max)
-    tensor = tensor.reshape(3, len(present), px, px)
-    if not store.has_time:
-        return tensor[:, 0], None
-    return tensor, spec.timestamps[present]
+def _tile_builder(spec: JobSpec, process_fn=None):
+    """:func:`~mapchete_xarray_ray.pipelines.commit.tile_writer` builder:
+    one tile's pages -> url dedup -> process (default: count rasterize)
+    -> tensor. The default process counts (pages, English pages,
+    long-text pages) per pixel, and on a time-axis archive per time
+    slice present, labelled by the store's own time mapping.
+    ``process_fn(tile, pages, spec)`` is the user-extension hook
+    (SURVEY.md §2.10); returning "empty" skips the tile (no chunk
+    written — reference tests/test_driver.py:39-46 semantics)."""
 
-
-def _tile_writer(spec: JobSpec, process_fn=None):
-    """map_groups fn: one tile's pages -> url dedup -> process (default:
-    count rasterize) -> :func:`finalize_tile`. ``process_fn(tile, pages,
-    spec)`` is the user-extension hook (SURVEY.md §2.10); returning
-    "empty" skips the tile (no chunk written — reference
-    tests/test_driver.py:39-46 semantics)."""
-
-    def fn(group: pa.Table) -> pa.Table:
-        group = _first_crawls(group)
-        zoom, row, col = (int(x) for x in
-                          unpack_tile_id(group.column("tile_id")[0].as_py()))
-        store = ZarrTileStore(spec)
-        if process_fn is None:
-            # masks and flat pixel index were precomputed BEFORE the
-            # shuffle (see _narrow_compact): no string/geo work here
-            tensor, timestamps = _count_tensor(store, group)
-        else:
-            data = process_fn(TileContext(spec, zoom, row, col), group, spec)
+    def build(store: ZarrTileStore, row: int, col: int, rows: pa.Table):
+        rows = _first_crawls(rows)
+        if process_fn is not None:
+            data = process_fn(TileContext(spec, spec.zoom, row, col), rows, spec)
             if isinstance(data, str) and data == "empty":
-                return summary_table([])
-            tensor, timestamps = output_cleaned(data, spec), None
-        return summary_table([finalize_tile(store, row, col, tensor,
-                                            group.num_rows, timestamps)])
+                return None
+            return output_cleaned(data, spec), None, rows.num_rows
+        # masks and flat pixel index were precomputed BEFORE the
+        # shuffle (see _narrow_compact): no string/geo work here
+        if store.has_time:
+            ts, inv = np.unique(
+                rows.column("warc_ts").to_numpy(zero_copy_only=False),
+                return_inverse=True)
+            tidx = np.asarray(store.time_indices(ts), dtype=np.int64)[inv]
+        else:
+            tidx = np.zeros(rows.num_rows, dtype=np.int64)
+        weights = [np.ones(rows.num_rows, dtype=np.int64)] + [
+            rows.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in ("is_en", "long_text")]
+        tensor, present = count_tensor(
+            rows.column("pix").to_numpy(zero_copy_only=False).astype(np.int64),
+            tidx, weights, store.chunk_px, spec.dtype)
+        if not store.has_time:
+            return tensor[:, 0], None, rows.num_rows
+        return tensor, spec.timestamps[present], rows.num_rows
 
-    return fn
+    return build
 
 
 def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
@@ -330,8 +312,9 @@ def run_pipeline(ds: ray.data.Dataset, spec: JobSpec, mode: str = "continue",
     if repartition_blocks:
         ds = ds.repartition(repartition_blocks)
 
-    return ds.groupby("tile_id").map_groups(_tile_writer(spec, process_fn),
-                                            batch_format="pyarrow")
+    return ds.groupby("tile_id").map_groups(
+        tile_writer(spec, _tile_builder(spec, process_fn)),
+        batch_format="pyarrow")
 
 
 def run_flagship(sf_dir: str, out_path: str | None = None, n_pages: int = 2000,

@@ -123,8 +123,7 @@ class PyramidReducer:
 
 
 def run_pyramid_step(in_path: str, out_path: str, how: str = "sum",
-                     mode: str = "continue",
-                     compressor: int | str | None = 1) -> ray.data.Dataset:
+                     mode: str = "continue") -> ray.data.Dataset:
     in_spec = spec_from_archive(in_path)
     out_spec = JobSpec(
         path=out_path,
@@ -143,10 +142,10 @@ def run_pyramid_step(in_path: str, out_path: str, how: str = "sum",
         time=in_spec.time,
     )
     check_grid_compatible(in_spec, out_spec)
-    # compressor applies only when this call CREATES the archive; an
-    # existing one keeps its on-disk layout (write_tile syncs from
-    # .zarray metadata)
-    out_store = ZarrTileStore(out_spec, compressor=compressor)
+    # out_spec's default compression applies only when this call
+    # CREATES the archive; an existing one keeps its on-disk layout
+    # (write_tile syncs from .zarray metadata)
+    out_store = ZarrTileStore(out_spec)
     out_store.prepare()
 
     r0, r1, c0, c1 = out_spec.tile_range()
@@ -221,8 +220,7 @@ def _cached_reducer_fn(in_path: str, out_spec: JobSpec, how: str,
 
 
 def run_pyramid_chain(src_path: str, min_zoom: int, how: str = "sum",
-                      mode: str = "continue",
-                      compressor: int | str | None = 1) -> list[dict]:
+                      mode: str = "continue") -> list[dict]:
     """E3 iterated: chain :func:`run_pyramid_step` z -> z-1 -> ... ->
     ``min_zoom`` (the reference's self-referential overview build,
     _output.py:146-163 + get_raw_output at :556, applied until the
@@ -239,8 +237,7 @@ def run_pyramid_chain(src_path: str, min_zoom: int, how: str = "sum",
     results, src = [], src_path
     while (z := spec_from_archive(src).zoom - 1) >= min_zoom:
         dst = f"{base}_z{z}.zarr"
-        n = run_pyramid_step(src, dst, how=how, mode=mode,
-                             compressor=compressor).count()
+        n = run_pyramid_step(src, dst, how=how, mode=mode).count()
         results.append({"zoom": z, "tiles_written": int(n), "path": dst})
         src = dst
     return results

@@ -208,18 +208,20 @@ GROUP BY cell3
 
 def q_rasterize_roundtrip(sf_dir: str):
     """Raster<->vector roundtrip (A4 + tile_to_points): documents are
-    rasterized into per-tile count grids (groupby tile -> np.add.at),
+    rasterized into per-tile count grids (groupby tile -> count_tensor),
     then vectorized back to one row per non-zero pixel. The SQL twin is
     a plain per-pixel GROUP BY — if the grid math or the raster->vector
     inversion were off by one pixel anywhere, the hash would differ."""
+    from mapchete_xarray_ray.stages.rasterize import count_tensor
+
     def per_tile(group: pa.Table) -> pa.Table:
         tile_id = int(group.column("tile_id")[0].as_py())
         px = group.column("px").to_numpy(zero_copy_only=False)
         py = group.column("py").to_numpy(zero_copy_only=False)
-        ix = px % 256
-        iy = py % 256
-        grid = np.zeros((256, 256), dtype=np.int64)
-        np.add.at(grid, (iy, ix), 1)
+        n = group.num_rows
+        grid = count_tensor((py % 256) * 256 + px % 256,
+                            np.zeros(n, dtype=np.int64),
+                            [np.ones(n, dtype=np.int64)], 256, np.int64)[0][0, 0]
         yy, xx = np.nonzero(grid)
         return pa.table({
             "tile_id": pa.array(np.full(len(yy), tile_id), pa.int64()),
@@ -3736,48 +3738,31 @@ GROUP BY o_orderkey, o_orderpriority
 """
 
 
-def _tile_write_bucket(spec_ref, per_tile):
-    """map_groups factory shared by the store roundtrips: segment one
-    tile-hash bucket by tile_id (``nputil.segments``) and call
-    ``per_tile(store, spec, row, col, segment)`` once per tile — one
-    python dispatch per BUCKET, chunk ownership preserved (a tile's
-    rows live wholly in one bucket). Emits the written (row, col)
-    list."""
-    from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+def _build_counts(store, row: int, col: int, rows: pa.Table):
+    """:func:`~mapchete_xarray_ray.pipelines.commit.tile_writer` builder
+    of the store roundtrips: one tile's (px, py) rows -> its one-band
+    doc-count grid. On a time-axis archive a doc lands in step
+    ``doc_id % n_time`` and the tile writes only the steps it has
+    (labelled-slice insertion)."""
+    from mapchete_xarray_ray.stages.rasterize import count_tensor
 
-    def fn(group: pa.Table) -> pa.Table:
-        sp = ray.get(spec_ref)
-        store = ZarrTileStore(sp)
-        o, starts, ends = segments(
-            group.column("tile_id").to_numpy(zero_copy_only=False))
-        group = group.take(pa.array(o))
-        out_r, out_c = [], []
-        for st, en in zip(starts, ends):
-            seg = group.slice(st, en - st)
-            row = int(seg.column("tile_row")[0].as_py())
-            col = int(seg.column("tile_col")[0].as_py())
-            per_tile(store, sp, row, col, seg)
-            out_r.append(row)
-            out_c.append(col)
-        return pa.table({"tile_row": pa.array(out_r, pa.int64()),
-                         "tile_col": pa.array(out_c, pa.int64())})
-
-    return fn
+    cp, n = store.chunk_px, rows.num_rows
+    px = rows.column("px").to_numpy(zero_copy_only=False)
+    py = rows.column("py").to_numpy(zero_copy_only=False)
+    tidx = (rows.column("doc_id").to_numpy(zero_copy_only=False) % store.n_time
+            if store.has_time else np.zeros(n, dtype=np.int64))
+    tensor, present = count_tensor((py % cp) * cp + px % cp, tidx,
+                                   [np.ones(n, dtype=np.int64)], cp,
+                                   store.spec.dtype)
+    if not store.has_time:
+        return tensor[:, 0], None, n
+    return tensor, store.spec.timestamps[present], n
 
 
-def _per_tile_counts(store, sp, row, col, seg: pa.Table) -> None:
-    """Rasterize one tile's (px, py) rows into a count grid and write it
-    (shared by the shuffle and pre-partitioned store roundtrips)."""
-    px = seg.column("px").to_numpy(zero_copy_only=False)
-    py = seg.column("py").to_numpy(zero_copy_only=False)
-    grid = np.zeros((256, 256), dtype=np.int32)
-    np.add.at(grid, (py % 256, px % 256), 1)
-    store.write_tile(row, col, grid[None])  # (bands, h, w)
-
-
-def _fresh_counts_spec(prefix: str):
-    """Fresh tmp-dir JobSpec + initialized archive for a roundtrip query.
-    Returns (base_dir, spec, spec_ref)."""
+def _fresh_counts_spec(prefix: str, time: dict | None = None):
+    """Fresh tmp-dir JobSpec + initialized one-band int32 count archive
+    at ZOOM for a roundtrip query, optionally with a time axis.
+    Returns (base_dir, spec)."""
     import atexit
     import os
     import shutil
@@ -3791,22 +3776,25 @@ def _fresh_counts_spec(prefix: str):
     atexit.register(shutil.rmtree, base, ignore_errors=True)
     spec = JobSpec(path=os.path.join(base, "counts.zarr"), zoom=ZOOM,
                    bounds=(-180.0, -90.0, 180.0, 90.0), bands=1,
-                   dtype="int32", nodata=0)
+                   dtype="int32", nodata=0, time=time)
     ZarrTileStore(spec).initialize()
-    spec_ref = ray.put(spec)  # broadcast once; actors rebuild the handle
-    return base, spec, spec_ref
+    return base, spec
 
 
-def _write_counts_archive(sf_dir: str, drop_mod: int | None = None):
+def _write_counts_archive(sf_dir: str, drop_mod: int | None = None,
+                          time: dict | None = None):
     """Rasterize documents into a fresh per-tile count archive at ZOOM
-    (the shared write half of the store/pyramid roundtrip queries).
-    Returns (spec, spec_ref, written) AFTER the write barrier — only the
-    small (tile_row, tile_col) list lands on the driver.
+    (the shared write half of the store/pyramid roundtrip queries),
+    every tile committed through ``finalize_tile`` with its lineage
+    record. Returns (spec, written) AFTER the write barrier — only the
+    small per-tile summary rows land on the driver.
     ``drop_mod``: if set, docs with ``doc_id % drop_mod == 0`` are
     excluded (a deterministic "previous corpus generation" for the
-    archive-diff query)."""
-    _base, spec, spec_ref = _fresh_counts_spec("store_rt_")
-    write_tile_bucket = _tile_write_bucket(spec_ref, _per_tile_counts)
+    archive-diff query). ``time``: the spec's time axis (see
+    :func:`_build_counts`)."""
+    from mapchete_xarray_ray.pipelines.commit import tile_writer
+
+    _base, spec = _fresh_counts_spec("store_rt_", time)
 
     # regroup at 1.0/cpu, not the aggregate default 0.25: the groupby's
     # OUTPUT block count == its input block count, and these groups DO
@@ -3819,44 +3807,49 @@ def _write_counts_archive(sf_dir: str, drop_mod: int | None = None):
             d = batch.column("doc_id").to_numpy(zero_copy_only=False)
             return batch.filter(pa.array(d % drop_mod != 0))
         docs = docs.map_batches(keep, batch_format="pyarrow")
+    cols = ["px", "py", "tile_id"] + (["doc_id"] if time else [])
     written = collect_table(
         _regroup(docs
                  .map_batches(assign_doc_ids_fn(ZOOM), batch_format="pyarrow")
-                 .select_columns(["px", "py", "tile_row", "tile_col", "tile_id"])
+                 .select_columns(cols)
                  .map_batches(_mod_bucket("tile_id", "tb"),
                               batch_format="pyarrow"), 1.0)
         .groupby("tb")
-        .map_groups(write_tile_bucket, batch_format="pyarrow"))
-    return spec, spec_ref, written
+        .map_groups(tile_writer(spec, _build_counts), batch_format="pyarrow"))
+    return spec, written
 
 
-def _pixel_rows_stage(spec_ref, zoom: int):
-    """map_batches fn over a (tile_row, tile_col) work list: read each
-    tile back and emit one row per non-zero pixel."""
+def _pixel_rows(spec):
+    """Read every tile of a count archive back as one row per non-zero
+    pixel: ``(tile_id, iy, ix, n_docs)``, plus ``t_idx`` before ``iy``
+    on a time-axis archive. The work list (one LIST of the chunk
+    names) is spread across blocks: ``from_arrow`` yields ONE block,
+    which would run the whole read-back on a single task."""
+    from mapchete_xarray_ray.grid import pack_tile_id
     from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 
-    def read_tiles(batch: pa.Table) -> pa.Table:
-        store = ZarrTileStore(ray.get(spec_ref))
-        rows, cols, out_tid, out_iy, out_ix, out_n = (
-            batch.column("tile_row").to_numpy(zero_copy_only=False),
-            batch.column("tile_col").to_numpy(zero_copy_only=False),
-            [], [], [], [])
-        for row, col in zip(rows, cols):
-            grid = store.read_tile(int(row), int(col))[0]
-            yy, xx = np.nonzero(grid)
-            tid = (zoom << 58) | (int(row) << 29) | int(col)
-            out_tid.append(np.full(len(yy), tid, dtype=np.int64))
-            out_iy.append(yy.astype(np.int64))
-            out_ix.append(xx.astype(np.int64))
-            out_n.append(grid[yy, xx].astype(np.int64))
-        cat = (lambda parts: np.concatenate(parts) if parts else
-               np.array([], dtype=np.int64))
-        return pa.table({"tile_id": pa.array(cat(out_tid)),
-                         "iy": pa.array(cat(out_iy)),
-                         "ix": pa.array(cat(out_ix)),
-                         "n_docs": pa.array(cat(out_n))})
+    tiles = sorted(ZarrTileStore(spec).existing_tiles())
+    names = (["tile_id"] + (["t_idx"] if spec.time is not None else [])
+             + ["iy", "ix", "n_docs"])
 
-    return read_tiles
+    def read_tiles(batch: pa.Table) -> pa.Table:
+        store = ZarrTileStore(spec)
+        parts = []
+        for row, col in zip(batch.column("tile_row").to_pylist(),
+                            batch.column("tile_col").to_pylist()):
+            cube = store.read_tile(row, col)[0]  # (h, w) or (T, h, w)
+            nz = np.nonzero(cube)
+            parts.append([np.full(len(nz[0]), pack_tile_id(spec.zoom, row, col)),
+                          *nz, cube[nz]])
+        return pa.table({n: pa.array(np.concatenate(c).astype(np.int64))
+                         for n, c in zip(names, zip(*parts))})
+
+    work = pa.table({"tile_row": pa.array([t[0] for t in tiles], pa.int64()),
+                     "tile_col": pa.array([t[1] for t in tiles], pa.int64())})
+    out = (ray.data.from_arrow(work)
+           .repartition(nblocks_for_cluster(1.0, lo=8))
+           .map_batches(read_tiles, batch_format="pyarrow"))
+    return _schema_finalize(out, dict.fromkeys(names, pa.int64()))
 
 
 def q_store_roundtrip(sf_dir: str):
@@ -3869,11 +3862,8 @@ def q_store_roundtrip(sf_dir: str):
     in the store (encode/decode, chunk naming, tile->chunk offset)
     flips the hash. Reference contract: _output.py:353-390, 422-458.
     """
-    _spec, spec_ref, written = _write_counts_archive(sf_dir)
-    # spread the tile work list across blocks: from_arrow yields ONE
-    # block, which would run the whole read-back on a single task
-    return ray.data.from_arrow(written).repartition(nblocks_for_cluster(1.0, lo=8)).map_batches(
-        _pixel_rows_stage(spec_ref, ZOOM), batch_format="pyarrow")
+    spec, _written = _write_counts_archive(sf_dir)
+    return _pixel_rows(spec)
 
 
 def q_store_roundtrip_prepart(sf_dir: str):
@@ -3899,16 +3889,16 @@ def q_store_roundtrip_prepart(sf_dir: str):
 
     import pyarrow.parquet as pq
 
+    from mapchete_xarray_ray.pipelines.commit import tile_writer
     from mapchete_xarray_ray.sinks.parquet import write_partitioned
 
-    base, _spec, spec_ref = _fresh_counts_spec("store_prepart_")
+    base, spec = _fresh_counts_spec("store_prepart_")
     part_dir = os.path.join(base, "pages_by_tb")
 
     # phase 1 — ingest: the only shuffle, into partitioned storage
     assigned = (_docs(sf_dir, ["doc_id"])
                 .map_batches(assign_doc_ids_fn(ZOOM), batch_format="pyarrow")
-                .select_columns(["px", "py", "tile_row", "tile_col",
-                                 "tile_id"])
+                .select_columns(["px", "py", "tile_id"])
                 .map_batches(_mod_bucket("tile_id", "tb"),
                              batch_format="pyarrow"))
     write_partitioned(assigned, part_dir, "tb", mode="overwrite")
@@ -3919,21 +3909,18 @@ def q_store_roundtrip_prepart(sf_dir: str):
     pdirs = sorted(
         os.path.join(part_dir, d) for d in os.listdir(part_dir)
         if os.path.exists(os.path.join(part_dir, d, "_SUCCESS")))
-    write_bucket = _tile_write_bucket(spec_ref, _per_tile_counts)
+    write_bucket = tile_writer(spec, _build_counts)
 
     def write_from_partition(batch: pa.Table) -> pa.Table:
         return pa.concat_tables([write_bucket(pq.read_table(pdir))
                                  for pdir in batch.column("pdir").to_pylist()])
 
     work = ray.data.from_arrow(pa.table({"pdir": pa.array(pdirs)}))
-    written = collect_table(
-        work.repartition(max(len(pdirs), 1))
-        .map_batches(write_from_partition, batch_format="pyarrow"))
+    collect_table(work.repartition(max(len(pdirs), 1))
+                  .map_batches(write_from_partition, batch_format="pyarrow"))
 
     # phase 3 — read-back, identical to store_roundtrip
-    return ray.data.from_arrow(written).repartition(
-        nblocks_for_cluster(1.0, lo=8)).map_batches(
-        _pixel_rows_stage(spec_ref, ZOOM), batch_format="pyarrow")
+    return _pixel_rows(spec)
 
 
 def q_pyramid_roundtrip(sf_dir: str):
@@ -3949,26 +3936,13 @@ def q_pyramid_roundtrip(sf_dir: str):
     import os
 
     from mapchete_xarray_ray.pipelines.pyramid import run_pyramid_step
-    from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+    from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
 
-    spec, _spec_ref, _written = _write_counts_archive(sf_dir)
+    spec, _written = _write_counts_archive(sf_dir)
     z4_path = os.path.join(os.path.dirname(spec.path), "counts_z4.zarr")
     # consuming the step's Dataset is the write barrier
     collect_table(run_pyramid_step(spec.path, z4_path, how="sum"))
-
-    from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
-
-    z4_spec = spec_from_archive(z4_path)
-    z4_store = ZarrTileStore(z4_spec)
-    tiles = sorted(z4_store.existing_tiles())
-    work = pa.table({
-        "tile_row": pa.array([t[0] for t in tiles], pa.int64()),
-        "tile_col": pa.array([t[1] for t in tiles], pa.int64()),
-    })
-    out = ray.data.from_arrow(work).repartition(nblocks_for_cluster(1.0, lo=8)).map_batches(
-        _pixel_rows_stage(ray.put(z4_spec), 4), batch_format="pyarrow")
-    return _schema_finalize(out, {"tile_id": pa.int64(), "iy": pa.int64(),
-                                  "ix": pa.int64(), "n_docs": pa.int64()})
+    return _pixel_rows(spec_from_archive(z4_path))
 
 
 SQL_PYRAMID_ROUNDTRIP = """
@@ -3997,28 +3971,13 @@ def q_pyramid_chain(sf_dir: str):
     (uint16 -> uint32 at the first sum level) or addressing flips the
     hash. Reference contract: _output.py:146-163, 165-200, 556.
     """
-    import os
-
     from mapchete_xarray_ray.pipelines.pyramid import run_pyramid_chain
-    from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
     from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
 
-    spec, _spec_ref, _written = _write_counts_archive(sf_dir)
+    spec, _written = _write_counts_archive(sf_dir)
     levels = run_pyramid_chain(spec.path, min_zoom=2, how="sum")
     assert [lv["zoom"] for lv in levels] == [4, 3, 2]
-    z2_spec = spec_from_archive(levels[-1]["path"])
-    z2_store = ZarrTileStore(z2_spec)
-    tiles = sorted(z2_store.existing_tiles())
-    work = pa.table({
-        "tile_row": pa.array([t[0] for t in tiles], pa.int64()),
-        "tile_col": pa.array([t[1] for t in tiles], pa.int64()),
-    })
-    out = (ray.data.from_arrow(work)
-           .repartition(nblocks_for_cluster(1.0, lo=4))
-           .map_batches(_pixel_rows_stage(ray.put(z2_spec), 2),
-                        batch_format="pyarrow"))
-    return _schema_finalize(out, {"tile_id": pa.int64(), "iy": pa.int64(),
-                                  "ix": pa.int64(), "n_docs": pa.int64()})
+    return _pixel_rows(spec_from_archive(levels[-1]["path"]))
 
 
 SQL_PYRAMID_CHAIN = """
@@ -4117,72 +4076,10 @@ def q_store_roundtrip_time(sf_dir: str):
     the time coordinate, chunk addressing ``{t}.{r}.{c}``, padding, or
     labeled insertion flips the hash. Reference: _output.py:213-217,
     358-389, 641-649."""
-    import atexit
-    import os
-    import shutil
-    import tempfile
-
-    from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
-    from mapchete_xarray_ray.spec import JobSpec
-
-    STEPS = ["2024-01-01", "2024-01-02", "2024-01-03"]
-    out_dir = tempfile.mkdtemp(prefix="store_rtt_", dir="/tmp")
-    atexit.register(shutil.rmtree, out_dir, ignore_errors=True)
-    spec = JobSpec(path=os.path.join(out_dir, "counts_t.zarr"), zoom=ZOOM,
-                   bounds=(-180.0, -90.0, 180.0, 90.0), bands=1,
-                   dtype="int32", nodata=0,
-                   time={"start": STEPS[0], "end": STEPS[-1],
-                         "steps": STEPS, "chunksize": 2})
-    ZarrTileStore(spec).initialize()
-    spec_ref = ray.put(spec)
-
-    def per_tile_time_counts(store, sp, row, col, seg: pa.Table) -> None:
-        px = seg.column("px").to_numpy(zero_copy_only=False)
-        py = seg.column("py").to_numpy(zero_copy_only=False)
-        ti = seg.column("doc_id").to_numpy(zero_copy_only=False) % 3
-        present = np.unique(ti)
-        tensor = np.zeros((1, len(present), 256, 256), dtype=np.int32)
-        for j, step in enumerate(present):
-            m = ti == step
-            np.add.at(tensor[0, j], (py[m] % 256, px[m] % 256), 1)
-        store.write_tile(row, col, tensor, timestamps=sp.timestamps[present])
-
-    write_tile_bucket = _tile_write_bucket(spec_ref, per_tile_time_counts)
-
-    written = collect_table(
-        _regroup(_docs(sf_dir, ["doc_id"])
-                 .map_batches(assign_doc_ids_fn(ZOOM), batch_format="pyarrow")
-                 .select_columns(["doc_id", "px", "py", "tile_row",
-                                  "tile_col", "tile_id"])
-                 .map_batches(_mod_bucket("tile_id", "tb"),
-                              batch_format="pyarrow"), 1.0)
-        .groupby("tb")
-        .map_groups(write_tile_bucket, batch_format="pyarrow"))
-
-    def read_tiles(batch: pa.Table) -> pa.Table:
-        store = ZarrTileStore(ray.get(spec_ref))
-        rows = batch.column("tile_row").to_numpy(zero_copy_only=False)
-        cols = batch.column("tile_col").to_numpy(zero_copy_only=False)
-        tid_o, t_o, iy_o, ix_o, n_o = [], [], [], [], []
-        for row, col in zip(rows, cols):
-            cube = store.read_tile(int(row), int(col))[0]  # (T, h, w)
-            tt, yy, xx = np.nonzero(cube)
-            tid = (ZOOM << 58) | (int(row) << 29) | int(col)
-            tid_o.append(np.full(len(tt), tid, dtype=np.int64))
-            t_o.append(tt.astype(np.int64))
-            iy_o.append(yy.astype(np.int64))
-            ix_o.append(xx.astype(np.int64))
-            n_o.append(cube[tt, yy, xx].astype(np.int64))
-        cat = (lambda p: np.concatenate(p) if p else
-               np.array([], dtype=np.int64))
-        return pa.table({"tile_id": pa.array(cat(tid_o)),
-                         "t_idx": pa.array(cat(t_o)),
-                         "iy": pa.array(cat(iy_o)),
-                         "ix": pa.array(cat(ix_o)),
-                         "n_docs": pa.array(cat(n_o))})
-
-    return ray.data.from_arrow(written).repartition(nblocks_for_cluster(1.0, lo=8)).map_batches(
-        read_tiles, batch_format="pyarrow")
+    steps = ["2024-01-01", "2024-01-02", "2024-01-03"]
+    spec, _written = _write_counts_archive(sf_dir, time={
+        "start": steps[0], "end": steps[-1], "steps": steps, "chunksize": 2})
+    return _pixel_rows(spec)
 
 
 SQL_STORE_ROUNDTRIP_TIME = """
@@ -5494,10 +5391,10 @@ def q_focal_pixels(sf_dir: str):
     from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
     from mapchete_xarray_ray.sources.zarr_input import read_pixel_window
 
-    spec, spec_ref, written = _write_counts_archive(sf_dir)
+    spec, written = _write_counts_archive(sf_dir)
 
     def focal_tiles(batch: pa.Table) -> pa.Table:
-        store = ZarrTileStore(ray.get(spec_ref))
+        store = ZarrTileStore(spec)
         cp = store.chunk_px
         H, W = store.height, store.width
         out_x, out_y, out_n, out_f = [], [], [], []
@@ -5577,8 +5474,8 @@ def q_archive_diff(sf_dir: str):
     twin: a tile changed iff it contains a doc whose id is 0 mod 7."""
     from mapchete_xarray_ray.pipelines.diff import archive_diff_ds
 
-    spec_a, _ref_a, _written_a = _write_counts_archive(sf_dir)
-    spec_b, _ref_b, _written_b = _write_counts_archive(sf_dir, drop_mod=7)
+    spec_a, _written_a = _write_counts_archive(sf_dir)
+    spec_b, _written_b = _write_counts_archive(sf_dir, drop_mod=7)
     out = archive_diff_ds(spec_a.path, spec_b.path)
     return _schema_finalize(out, {"tile_id": pa.int64(),
                                   "changed": pa.int64()})

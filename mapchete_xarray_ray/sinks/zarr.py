@@ -265,17 +265,14 @@ def _decode_chunk(buf: bytes, shape, dtype,
 class ZarrTileStore:
     """Open/create a zarr-layout tile archive for a :class:`JobSpec`."""
 
-    def __init__(self, spec: JobSpec,
-                 compressor: int | str | None = None):
+    def __init__(self, spec: JobSpec):
         self.spec = spec
         self.path = str(spec.path)
-        # write-time encoding for NEW archives: explicit arg > the
-        # spec's compression field; an EXISTING archive's on-disk
-        # .zarray always wins (synced before any read/write). Held
-        # normalized as (codec, level) | None — see parse_compression.
-        self.compressor = parse_compression(
-            compressor if compressor is not None
-            else getattr(spec, "compression", 1))
+        # write-time encoding for NEW archives: the spec's compression
+        # field; an EXISTING archive's on-disk .zarray always wins
+        # (synced before any read/write). Held normalized as
+        # (codec, level) | None — see parse_compression.
+        self.compressor = parse_compression(spec.compression)
         b = spec.snapped_bounds
         self.height, self.width = spec.shape
         self.chunk_px = spec.chunk_px

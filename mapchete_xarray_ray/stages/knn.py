@@ -52,7 +52,7 @@ import pyarrow as pa
 import ray
 
 from mapchete_xarray_ray.collect import collect_table
-from mapchete_xarray_ray.nputil import group_sum, topk_per_id
+from mapchete_xarray_ray.nputil import group_sum, sorted_lookup, topk_per_id
 from mapchete_xarray_ray.scale import nblocks_for_cluster
 
 
@@ -82,14 +82,6 @@ def _per_segment(s: np.ndarray):
     segment ``0 .. s[i] - 1``."""
     rep = np.repeat(np.arange(len(s)), s)
     return rep, np.arange(len(rep)) - np.repeat(np.cumsum(s) - s, s)
-
-
-def _lookup(cells: np.ndarray, vals: np.ndarray, probe: np.ndarray,
-            default):
-    """``vals`` of each ``probe`` cell in the sorted ``cells``;
-    ``default`` where the cell is not listed."""
-    pos = np.minimum(np.searchsorted(cells, probe), len(cells) - 1)
-    return np.where(cells[pos] == probe, vals[pos], default)
 
 
 def _cell_stats(cells: np.ndarray, n: np.ndarray, k: int, span: float,
@@ -136,10 +128,12 @@ def _halo(ncols: int, nrows: int, span: float, origin_x: float,
                                    x - (origin_x + (cols + 1) * span)), 0.0)
         dy = np.maximum(np.maximum(origin_y + rows * span - y,
                                    y - (origin_y + (rows + 1) * span)), 0.0)
-        m2 = _lookup(cells, m2s, cell, 0.0)
+        hit, i = sorted_lookup(cells, cell)
+        m2 = np.where(hit, m2s[i], 0.0)
         pt, off = np.nonzero(valid & (home | (dx * dx + dy * dy < m2 * (1 + 1e-9))))
         cell, isq = cell[pt, off], home[off]
-        s = _lookup(cells, segs, cell, 1)
+        hit, i = sorted_lookup(cells, cell)
+        s = np.where(hit, segs[i], 1)
         rep, seg = _per_segment(s)
         idx = pt[rep]
         is_query = isq[rep] & (seg == _id_segment(ids[idx], s[rep]))
@@ -183,7 +177,8 @@ def _replicate(ncols: int, nrows: int, lo: int, hi: int, as_query: bool,
             grp_out, idx_out = grp * _SALT_MULT, idx
         else:
             cells, _m2s, segs = ray.get(salt)
-            s = _lookup(cells, segs, grp, 1)
+            hit, i = sorted_lookup(cells, grp)
+            s = np.where(hit, segs[i], 1)
             if as_query:
                 # one copy per segment of each target cell
                 rep, seg = _per_segment(s)

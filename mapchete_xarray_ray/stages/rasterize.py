@@ -1,10 +1,11 @@
 """Raster<->vector: per-tile rasterization of page points (A4).
 
-Given one tile's pages (all rows of one ``tile_id`` group), produce the
-tile tensor ``(bands, h, w)`` (or ``(bands, T, h, w)`` with a time
-axis): per-pixel counts accumulated with ``np.add.at``. The inverse
-direction (raster -> vector) is ``tile_to_points`` which emits one row
-per non-fill pixel.
+Given one tile's rows, produce the tile tensor ``(bands, h, w)`` (or
+``(bands, T, h, w)`` with a time axis) of per-pixel counts.
+:func:`count_tensor` is the one count kernel: the flagship writer, the
+store roundtrips, the process hooks (via :func:`rasterize_counts`) and
+``q_rasterize_roundtrip`` all call it. The inverse direction (raster ->
+vector) is ``tile_to_points`` which emits one row per non-fill pixel.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from mapchete_xarray_ray.grid import TilePyramid
+from mapchete_xarray_ray.nputil import group_sum
 from mapchete_xarray_ray.spec import JobSpec
 
 
@@ -34,28 +36,41 @@ def local_pixel_indices(lon, lat, tile_row, tile_col, spec: JobSpec):
     return iy, ix
 
 
+def count_tensor(pix: np.ndarray, tidx: np.ndarray, weights, chunk_px: int,
+                 dtype):
+    """Per-pixel sums of ``weights`` (one int array per band) over rows
+    at flat in-tile pixel ``pix`` (``iy * chunk_px + ix``) and time
+    slice ``tidx``. Returns ``(tensor, present)``: ``tensor`` is
+    ``(bands, len(present), chunk_px, chunk_px)`` in ``dtype`` over the
+    ascending distinct slices ``present`` of ``tidx``. Sums sparse, then
+    scatters: only touched pixels are ever clipped to ``dtype``'s range,
+    so uint8 jobs don't wrap."""
+    n = chunk_px * chunk_px
+    present, tpos = np.unique(tidx, return_inverse=True)
+    key, *sums = group_sum(tpos * n + pix, *weights)
+    info = np.iinfo(np.dtype(dtype))
+    tensor = np.zeros((len(weights), len(present) * n), dtype=dtype)
+    tensor[:, key] = np.clip(sums, info.min, info.max)
+    return tensor.reshape(len(weights), len(present), chunk_px, chunk_px), present
+
+
 def rasterize_counts(group: pa.Table, spec: JobSpec,
                      band_masks: list[np.ndarray | None]) -> np.ndarray:
-    """Count grids: band b counts rows where band_masks[b] (None = all).
-
-    Returns (bands, h, w) in the spec dtype, nodata-initialized at 0
-    then accumulated — counts are clipped to the dtype's max so uint8
-    jobs don't wrap.
-    """
-    h = w = spec.chunk_px
-    lon = group.column("lon").to_numpy(zero_copy_only=False)
-    lat = group.column("lat").to_numpy(zero_copy_only=False)
-    tr = int(group.column("tile_row")[0].as_py())
-    tc = int(group.column("tile_col")[0].as_py())
-    iy, ix = local_pixel_indices(lon, lat, tr, tc, spec)
-    out = np.zeros((len(band_masks), h, w), dtype=np.int64)
-    for b, mask in enumerate(band_masks):
-        if mask is None:
-            np.add.at(out[b], (iy, ix), 1)
-        else:
-            np.add.at(out[b], (iy[mask], ix[mask]), 1)
-    info = np.iinfo(np.dtype(spec.dtype))
-    return out.clip(info.min, info.max).astype(spec.dtype)
+    """Count grids of one tile's (lon, lat) rows: band b counts rows
+    where band_masks[b] (None = all). Returns (bands, h, w) in the spec
+    dtype, 0 where no row lands, clipped to the dtype's range."""
+    iy, ix = local_pixel_indices(
+        group.column("lon").to_numpy(zero_copy_only=False),
+        group.column("lat").to_numpy(zero_copy_only=False),
+        int(group.column("tile_row")[0].as_py()),
+        int(group.column("tile_col")[0].as_py()), spec)
+    ones = np.ones(group.num_rows, dtype=np.int64)
+    weights = [ones if m is None else np.asarray(m, dtype=np.int64)
+               for m in band_masks]
+    tensor, _ = count_tensor(iy * spec.chunk_px + ix,
+                             np.zeros(group.num_rows, dtype=np.int64),
+                             weights, spec.chunk_px, spec.dtype)
+    return tensor[:, 0]
 
 
 def tile_to_points(tile_tensor: np.ndarray, tile_row: int, tile_col: int,
