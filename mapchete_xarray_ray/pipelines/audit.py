@@ -51,9 +51,8 @@ import ray
 
 from mapchete_xarray_ray.grid import pack_tile_id
 from mapchete_xarray_ray.pipelines.commit import tile_checksum
-from mapchete_xarray_ray.scale import nblocks_for_cluster
 from mapchete_xarray_ray.sinks.zarr import ChunkDecodeError, ZarrTileStore
-from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
+from mapchete_xarray_ray.sources.zarr_input import map_tiles, spec_from_archive
 from mapchete_xarray_ray.state.lineage import read_records
 
 
@@ -66,7 +65,6 @@ def audit_archive_ds(path: str) -> ray.data.Dataset:
     chunk_tiles = store.existing_tiles()
     keyed = {(r, c): rec for (_z, r, c), rec in records.items()}
     tiles = sorted(set(keyed) | chunk_tiles)
-    spec_ref = ray.put(spec)
     # the broadcast carries only what the audit needs, one small tuple
     # per tile, not the full metrics payload
     rec_ref = ray.put({
@@ -75,15 +73,12 @@ def audit_archive_ds(path: str) -> ray.data.Dataset:
     present_ref = ray.put(chunk_tiles)
     zoom = spec.zoom
 
-    def audit_tiles(batch: pa.Table) -> pa.Table:
-        st = ZarrTileStore(ray.get(spec_ref))
+    def audit_tiles(rows: list[int], cols: list[int]) -> pa.Table:
+        st = ZarrTileStore(spec)
         recs = ray.get(rec_ref)
         present = ray.get(present_ref)
-        rows = batch.column("tile_row").to_numpy(zero_copy_only=False)
-        cols = batch.column("tile_col").to_numpy(zero_copy_only=False)
         tid, status = [], []
         for r, c in zip(rows, cols):
-            r, c = int(r), int(c)
             tid.append(int(pack_tile_id(zoom, r, c)))
             rec = recs.get((r, c))
             if rec is None:
@@ -114,17 +109,12 @@ def audit_archive_ds(path: str) -> ray.data.Dataset:
                 status.append("checksum_mismatch")
         return pa.table({
             "tile_id": pa.array(tid, pa.int64()),
-            "tile_row": batch.column("tile_row").cast(pa.int64()),
-            "tile_col": batch.column("tile_col").cast(pa.int64()),
+            "tile_row": pa.array(rows, pa.int64()),
+            "tile_col": pa.array(cols, pa.int64()),
             "status": pa.array(status, pa.string()),
         })
 
-    work = pa.table({
-        "tile_row": pa.array([t[0] for t in tiles], pa.int64()),
-        "tile_col": pa.array([t[1] for t in tiles], pa.int64())})
-    return (ray.data.from_arrow(work)
-            .repartition(nblocks_for_cluster(1.0, lo=4))
-            .map_batches(audit_tiles, batch_format="pyarrow"))
+    return map_tiles(tiles, audit_tiles)
 
 
 def audit_summary(path: str) -> dict:

@@ -27,9 +27,8 @@ import pyarrow as pa
 import ray
 
 from mapchete_xarray_ray.grid import pack_tile_id
-from mapchete_xarray_ray.scale import nblocks_for_cluster
 from mapchete_xarray_ray.sinks.zarr import ChunkDecodeError, ZarrTileStore
-from mapchete_xarray_ray.sources.zarr_input import spec_from_archive
+from mapchete_xarray_ray.sources.zarr_input import map_tiles, spec_from_archive
 
 
 def archive_diff_ds(cur_path: str, old_path: str) -> ray.data.Dataset:
@@ -49,14 +48,11 @@ def archive_diff_ds(cur_path: str, old_path: str) -> ray.data.Dataset:
                 f"{getattr(cur_spec, attr)!r} != {getattr(old_spec, attr)!r}")
     tiles = sorted(ZarrTileStore(cur_spec).existing_tiles()
                    | ZarrTileStore(old_spec).existing_tiles())
-    cur_ref, old_ref = ray.put(cur_spec), ray.put(old_spec)
     zoom = cur_spec.zoom
 
-    def diff_tiles(batch: pa.Table) -> pa.Table:
-        cur = ZarrTileStore(ray.get(cur_ref))
-        old = ZarrTileStore(ray.get(old_ref))
-        rows = batch.column("tile_row").to_numpy(zero_copy_only=False)
-        cols = batch.column("tile_col").to_numpy(zero_copy_only=False)
+    def diff_tiles(rows: list[int], cols: list[int]) -> pa.Table:
+        cur, old = ZarrTileStore(cur_spec), ZarrTileStore(old_spec)
+
         def read_bytes(store, r, c):
             # an undecodable chunk (truncated write, bit rot) is BY
             # DEFINITION divergent — surface it as changed so the
@@ -73,25 +69,20 @@ def archive_diff_ds(cur_path: str, old_path: str) -> ray.data.Dataset:
 
         tid, chg = [], []
         for r, c in zip(rows, cols):
-            a = read_bytes(cur, int(r), int(c))
-            b = read_bytes(old, int(r), int(c))
-            tid.append(int(pack_tile_id(zoom, int(r), int(c))))
+            a = read_bytes(cur, r, c)
+            b = read_bytes(old, r, c)
+            tid.append(int(pack_tile_id(zoom, r, c)))
             # raw bytes, not np.array_equal: NaN != NaN would mark
             # byte-identical float tiles changed (shape/dtype already
             # match via the spec guard)
             chg.append(0 if (a is not None and b is not None and a == b)
                        else 1)
         return pa.table({"tile_id": pa.array(tid, pa.int64()),
-                         "tile_row": batch.column("tile_row").cast(pa.int64()),
-                         "tile_col": batch.column("tile_col").cast(pa.int64()),
+                         "tile_row": pa.array(rows, pa.int64()),
+                         "tile_col": pa.array(cols, pa.int64()),
                          "changed": pa.array(chg, pa.int64())})
 
-    work = pa.table({
-        "tile_row": pa.array([t[0] for t in tiles], pa.int64()),
-        "tile_col": pa.array([t[1] for t in tiles], pa.int64())})
-    return (ray.data.from_arrow(work)
-            .repartition(nblocks_for_cluster(1.0, lo=4))
-            .map_batches(diff_tiles, batch_format="pyarrow"))
+    return map_tiles(tiles, diff_tiles)
 
 
 def refresh_archive(pages: ray.data.Dataset, cur_path: str, prev_path: str,

@@ -51,7 +51,7 @@ import ray
 from mapchete_xarray_ray.fixtures import DEFAULT_BOUNDS, DEFAULT_ZOOM, make_pages
 from mapchete_xarray_ray.nputil import segments
 from mapchete_xarray_ray.pipelines.commit import tile_writer
-from mapchete_xarray_ray.spec import JobSpec
+from mapchete_xarray_ray.spec import JobSpec, JobSpecError
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore, _rmtree
 from mapchete_xarray_ray.stages.assign import assign_pages_fn
 from mapchete_xarray_ray.stages.rasterize import count_tensor, local_pixel_indices
@@ -171,9 +171,14 @@ def _narrow_compact(spec: JobSpec):
     tile_id, pix) of the default process: the writer needs no
     string or geo work after the shuffle."""
     if len(spec.band_names) != 3:
-        raise ValueError(
+        raise JobSpecError(
             "the default process writes exactly 3 bands (count, en count, "
             "long-text count); declare 3 band_names or pass a process_fn"
+        )
+    if not np.issubdtype(np.dtype(spec.dtype), np.integer):
+        raise JobSpecError(
+            f"the default process writes integer counts, not {spec.dtype!r}; "
+            "declare an integer dtype or pass a process_fn"
         )
 
     def compact(batch: pa.Table) -> pa.Table:

@@ -3,10 +3,12 @@
 The reference's self-referential path (output driver as input,
 _output.py:146-163 + get_raw_output at :556, mosaic at :165-200) maps
 to: enumerate parent tiles at z-1 (driver), prune against the input
-footprint (J3), then one ``map_batches`` stage whose tasks each read
+footprint (J3), then one ``map_tiles`` pass whose tasks each read
 their 2x2 child window from the source archive (mosaic read) and write
 the downsampled parent tile + lineage — no shuffle at all: the tile
 grid itself is the partitioning, each task's read set is disjoint.
+The per-batch function is a closure over the driver-side specs that
+opens both stores per batch, so no state outlives a step on a worker.
 
 The downsample (:func:`_downsample2`) combines the four strided
 quarters ``window[..., i::2, j::2]`` pixel-wise in quarter-sized
@@ -17,8 +19,6 @@ block axes, so an overview's bytes equal a plain block reduction's
 """
 
 from __future__ import annotations
-
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -31,6 +31,7 @@ from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 from mapchete_xarray_ray.sources.zarr_input import (
     archive_bbox,
     check_grid_compatible,
+    map_tiles,
     prune_tiles,
     read_window,
     spec_from_archive,
@@ -91,37 +92,6 @@ def _clip_to_dtype(arr: np.ndarray, dtype) -> np.ndarray:
     return arr.astype(dt)
 
 
-class PyramidReducer:
-    """Per-worker stage state: child-window read -> 2x downsample ->
-    parent write (constructed once per worker per step via
-    :func:`_cached_reducer_fn`)."""
-
-    def __init__(self, in_path: str, out_spec: JobSpec, how: str = "sum"):
-        self.in_spec = spec_from_archive(in_path)
-        self.in_store = ZarrTileStore(self.in_spec)
-        self.out_spec = out_spec
-        self.out_store = ZarrTileStore(out_spec)
-        self.how = how
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for r, c in zip(batch.column("tile_row").to_pylist(),
-                        batch.column("tile_col").to_pylist()):
-            tb = self.out_spec.pyramid.tile_bounds(self.out_spec.zoom, r, c)
-            window = read_window(self.in_store, tuple(tb))
-            tensor = _clip_to_dtype(
-                _downsample2(window, self.how, nodata=self.in_spec.nodata),
-                self.out_spec.dtype,
-            )
-            # an overview covers the FULL time coordinate and is derived
-            # from the child level, so finalize_tile's fresh rebuild and
-            # full-range time_idxs are exactly right
-            rows.append(finalize_tile(
-                self.out_store, r, c, tensor, 0,
-                input_fragments=[f"{self.in_spec.path}@z{self.in_spec.zoom}"]))
-        return summary_table(rows)
-
-
 def run_pyramid_step(in_path: str, out_path: str, how: str = "sum",
                      mode: str = "continue") -> ray.data.Dataset:
     in_spec = spec_from_archive(in_path)
@@ -163,60 +133,28 @@ def run_pyramid_step(in_path: str, out_path: str, how: str = "sum",
         tiles = [(r, c) for r, c in tiles
                  if int(pack_tile_id(out_spec.zoom, r, c)) not in done]
 
-    items = pa.table({
-        "tile_row": pa.array([t[0] for t in tiles], pa.int64()),
-        "tile_col": pa.array([t[1] for t in tiles], pa.int64()),
-    })
-    ds = ray.data.from_arrow(items)
-    # spread the tile work-list across blocks so the task pool fills
-    ds = ds.repartition(max(1, len(tiles) // 4))
-    # Task pool, NOT an actor pool: a pyramid chain runs one stage per
-    # level, and actor-pool spin-up dominates the coarse tail levels
-    # (observed 2.2-2.7s wall for <50ms of remote work on a 32-tile z2
-    # level; tasks on prewarmed workers run the same level in ~0.3s).
-    # The per-worker-process reducer cache (_cached_reducer_fn) keeps
-    # ST1's amortization — one store-metadata read per worker, not per
-    # batch — which is what the actor's __init__ bought. num_cpus=0.5:
-    # the reducers are IO-bound (chunk read/write); a full CPU per slot
-    # can starve upstream operators when the pool size equals the
-    # session's CPU count (deadlock observed at 4 slots on a 4-CPU
-    # session — the guide's pool-sizing pitfall).
-    return ds.map_batches(
-        _cached_reducer_fn(in_path, out_spec, how, uuid.uuid4().hex),
-        batch_format="pyarrow",
-        batch_size=4,
-        num_cpus=0.5,
-    )
+    fragment = f"{in_spec.path}@z{in_spec.zoom}"
 
+    def reduce_tiles(rows: list[int], cols: list[int]) -> pa.Table:
+        # both stores open per batch, as in every tile pass: __init__
+        # does no I/O and the layout sync is one lazy GET
+        src, dst = ZarrTileStore(in_spec), ZarrTileStore(out_spec)
+        out = []
+        for r, c in zip(rows, cols):
+            tb = out_spec.pyramid.tile_bounds(out_spec.zoom, r, c)
+            tensor = _clip_to_dtype(
+                _downsample2(read_window(src, tuple(tb)), how,
+                             nodata=in_spec.nodata),
+                out_spec.dtype,
+            )
+            # an overview covers the FULL time coordinate and is derived
+            # from the child level, so finalize_tile's fresh rebuild and
+            # full-range time_idxs are exactly right
+            out.append(finalize_tile(dst, r, c, tensor, 0,
+                                     input_fragments=[fragment]))
+        return summary_table(out)
 
-# Single-slot per-worker reducer cache. Keyed by a per-run_pyramid_step
-# token, NOT by paths: an archive recreated at the same path with a
-# different layout (compressor/dtype) must never be served by a store
-# handle synced to the OLD .zarray metadata, and a path-keyed dict
-# would also grow by one entry per tmpdir ever seen. One slot == the
-# actor-pool lifetime semantics this replaced (state scoped to one
-# stage execution), amortized per worker process.
-_REDUCER_SLOT: list = [None, None]  # [token, reducer]
-
-
-def _cached_reducer_fn(in_path: str, out_spec: JobSpec, how: str,
-                       token: str):
-    """Task-pool variant of :class:`PyramidReducer` with a per-worker-
-    process reducer cache, so repeated batches of the SAME step on the
-    same worker reuse the store handles (one metadata read per worker
-    per step, not per batch)."""
-    def fn(batch: pa.Table) -> pa.Table:
-        if _REDUCER_SLOT[0] != token:
-            # construct FIRST, publish after: claiming the token before
-            # a failed __init__ would make the retry reuse the PREVIOUS
-            # step's reducer (wrong archives) instead of rebuilding
-            red = PyramidReducer(in_path=in_path, out_spec=out_spec,
-                                 how=how)
-            _REDUCER_SLOT[1] = red
-            _REDUCER_SLOT[0] = token
-        return _REDUCER_SLOT[1](batch)
-
-    return fn
+    return map_tiles(tiles, reduce_tiles)
 
 
 def run_pyramid_chain(src_path: str, min_zoom: int, how: str = "sum",

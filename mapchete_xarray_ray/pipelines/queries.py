@@ -3822,21 +3822,20 @@ def _write_counts_archive(sf_dir: str, drop_mod: int | None = None,
 def _pixel_rows(spec):
     """Read every tile of a count archive back as one row per non-zero
     pixel: ``(tile_id, iy, ix, n_docs)``, plus ``t_idx`` before ``iy``
-    on a time-axis archive. The work list (one LIST of the chunk
-    names) is spread across blocks: ``from_arrow`` yields ONE block,
-    which would run the whole read-back on a single task."""
+    on a time-axis archive. The work list is one LIST of the chunk
+    names."""
     from mapchete_xarray_ray.grid import pack_tile_id
     from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+    from mapchete_xarray_ray.sources.zarr_input import map_tiles
 
     tiles = sorted(ZarrTileStore(spec).existing_tiles())
     names = (["tile_id"] + (["t_idx"] if spec.time is not None else [])
              + ["iy", "ix", "n_docs"])
 
-    def read_tiles(batch: pa.Table) -> pa.Table:
+    def read_tiles(rows: list[int], cols: list[int]) -> pa.Table:
         store = ZarrTileStore(spec)
         parts = []
-        for row, col in zip(batch.column("tile_row").to_pylist(),
-                            batch.column("tile_col").to_pylist()):
+        for row, col in zip(rows, cols):
             cube = store.read_tile(row, col)[0]  # (h, w) or (T, h, w)
             nz = np.nonzero(cube)
             parts.append([np.full(len(nz[0]), pack_tile_id(spec.zoom, row, col)),
@@ -3844,12 +3843,8 @@ def _pixel_rows(spec):
         return pa.table({n: pa.array(np.concatenate(c).astype(np.int64))
                          for n, c in zip(names, zip(*parts))})
 
-    work = pa.table({"tile_row": pa.array([t[0] for t in tiles], pa.int64()),
-                     "tile_col": pa.array([t[1] for t in tiles], pa.int64())})
-    out = (ray.data.from_arrow(work)
-           .repartition(nblocks_for_cluster(1.0, lo=8))
-           .map_batches(read_tiles, batch_format="pyarrow"))
-    return _schema_finalize(out, dict.fromkeys(names, pa.int64()))
+    return _schema_finalize(map_tiles(tiles, read_tiles),
+                            dict.fromkeys(names, pa.int64()))
 
 
 def q_store_roundtrip(sf_dir: str):
@@ -5389,19 +5384,20 @@ def q_focal_pixels(sf_dir: str):
     pixels per tile, the same O(perimeter) overhead a 256-node raster
     pipeline pays. Exact: uint16 counts box-summed in int64."""
     from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
-    from mapchete_xarray_ray.sources.zarr_input import read_pixel_window
+    from mapchete_xarray_ray.sources.zarr_input import (
+        map_tiles,
+        read_pixel_window,
+    )
 
     spec, written = _write_counts_archive(sf_dir)
 
-    def focal_tiles(batch: pa.Table) -> pa.Table:
+    def focal_tiles(rows: list[int], cols: list[int]) -> pa.Table:
         store = ZarrTileStore(spec)
         cp = store.chunk_px
         H, W = store.height, store.width
         out_x, out_y, out_n, out_f = [], [], [], []
-        rows = batch.column("tile_row").to_numpy(zero_copy_only=False)
-        cols = batch.column("tile_col").to_numpy(zero_copy_only=False)
         for row, col in zip(rows, cols):
-            r0, c0 = int(row) * cp, int(col) * cp
+            r0, c0 = row * cp, col * cp
             hr0, hr1 = max(r0 - 1, 0), min(r0 + cp + 1, H)
             hc0, hc1 = max(c0 - 1, 0), min(c0 + cp + 1, W)
             halo = read_pixel_window(store, hr0, hr1, hc0, hc1)[0].astype(
@@ -5421,20 +5417,14 @@ def q_focal_pixels(sf_dir: str):
             out_x.append((xx + c0).astype(np.int64))
             out_n.append(core[yy, xx])
             out_f.append(box[yy, xx])
-        cat = (lambda p: np.concatenate(p) if p else
-               np.array([], dtype=np.int64))
-        return pa.table({"x": pa.array(cat(out_x)),
-                         "y": pa.array(cat(out_y)),
-                         "n_docs": pa.array(cat(out_n)),
-                         "focal_docs": pa.array(cat(out_f))})
+        return pa.table({"x": pa.array(np.concatenate(out_x)),
+                         "y": pa.array(np.concatenate(out_y)),
+                         "n_docs": pa.array(np.concatenate(out_n)),
+                         "focal_docs": pa.array(np.concatenate(out_f))})
 
-    work = pa.table({
-        "tile_row": written.column("tile_row").cast(pa.int64()),
-        "tile_col": written.column("tile_col").cast(pa.int64())})
-    out = (ray.data.from_arrow(work)
-           .repartition(nblocks_for_cluster(1.0, lo=4))
-           .map_batches(focal_tiles, batch_format="pyarrow"))
-    return _schema_finalize(out, {
+    tiles = list(zip(written.column("tile_row").to_pylist(),
+                     written.column("tile_col").to_pylist()))
+    return _schema_finalize(map_tiles(tiles, focal_tiles), {
         "x": pa.int64(), "y": pa.int64(),
         "n_docs": pa.int64(), "focal_docs": pa.int64()})
 

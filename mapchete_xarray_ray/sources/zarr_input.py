@@ -9,6 +9,8 @@
   reads per batch. Input batch: rows of (tile_row, tile_col); output:
   one row per tile with each selected band's tensor as raw bytes plus
   shape columns (Arrow-native, no pickled objects).
+- :func:`map_tiles` — the one task-pool pass over a tile work list
+  (pyramid, audit, diff and the count read-backs).
 - :func:`read_window` — label-window read crossing tile boundaries:
   the Ray equivalent of the reference mosaic path (``extract_subset``
   -> create_mosaic -> extract_from_array, _output.py:165-200): allocate
@@ -17,11 +19,12 @@
 
 from __future__ import annotations
 
-
 import numpy as np
 import pyarrow as pa
+import ray
 
 from mapchete_xarray_ray.grid import Bounds, bounds_to_ranges
+from mapchete_xarray_ray.scale import nblocks_for_cluster
 from mapchete_xarray_ray.spec import JobSpec
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
 
@@ -96,6 +99,28 @@ def prune_tiles(tiles: list[tuple[int, int]], spec: JobSpec,
                   float(tb.top)).intersects(footprint):
             out.append((r, c))
     return out
+
+
+def map_tiles(tiles: list[tuple[int, int]], fn) -> ray.data.Dataset:
+    """The one tile pass: ``fn(rows, cols) -> pa.Table`` runs once per
+    batch of the ``(tile_row, tile_col)`` work list, with Python ints.
+
+    The work list fans out to ``nblocks_for_cluster(1.0, lo=4)`` blocks,
+    never more than there are tiles, so no block is empty. A task pool,
+    not an actor pool: a pyramid chain runs one pass per level, and
+    actor-pool spin-up dominated the coarse levels (2.2-2.7 s wall for
+    <50 ms of remote work on a 32-tile z2 level; tasks on prewarmed
+    workers ran it in ~0.3 s)."""
+    work = pa.table({"tile_row": pa.array([t[0] for t in tiles], pa.int64()),
+                     "tile_col": pa.array([t[1] for t in tiles], pa.int64())})
+
+    def run(batch: pa.Table) -> pa.Table:
+        return fn(batch.column("tile_row").to_pylist(),
+                  batch.column("tile_col").to_pylist())
+
+    nblocks = max(1, min(len(tiles), nblocks_for_cluster(1.0, lo=4)))
+    return (ray.data.from_arrow(work).repartition(nblocks)
+            .map_batches(run, batch_format="pyarrow"))
 
 
 class TileReader:

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray
 from mapchete_xarray_ray.collect import arrow_block_refs
 
@@ -12,6 +13,7 @@ from mapchete_xarray_ray.grid import pack_tile_id
 from mapchete_xarray_ray.oracle import oracle_tile_assign
 from mapchete_xarray_ray.pipelines.flagship import default_spec, run_pipeline
 from mapchete_xarray_ray.sinks.zarr import ZarrTileStore
+from mapchete_xarray_ray.spec import JobSpecError
 from mapchete_xarray_ray.state.lineage import completed_tiles, read_records
 
 
@@ -96,6 +98,19 @@ def test_e2e_4d_time_axis(tmp_path):
                          ).column("n_pages").to_numpy().sum())
     assert int(sum(store.read_tile(rr, cc, bands=["count"]).sum()
                    for rr, cc in store.existing_tiles())) == total
+
+
+def test_default_process_refuses_float_dtype_when_built(tmp_path):
+    """The default process counts pages, so a float dtype is refused
+    with a JobSpecError while the plan is built, before any archive is
+    created or any task runs (it used to fail inside the writer task
+    on ``np.iinfo``)."""
+
+    path = str(tmp_path / "f.zarr")
+    spec = default_spec(path, dtype="float32", zoom=4)
+    with pytest.raises(JobSpecError, match="integer"):
+        run_pipeline(ray.data.from_arrow(make_pages(n=200)), spec)
+    assert not os.path.exists(path)
 
 
 def test_entry_smoke():

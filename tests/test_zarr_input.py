@@ -382,9 +382,10 @@ def test_run_pyramid_chain_resume_per_level(archive, tmp_path):
 
 def test_pyramid_step_never_reuses_stale_worker_state(tmp_path):
     """Same Ray session, archive RECREATED at the same paths with a
-    different dtype/layout: the second step must rebuild its per-worker
-    reducer state (fresh step token), not decode through store handles
-    synced to the deleted archive's metadata."""
+    different dtype/layout: the second step must decode through the NEW
+    layout. The step keeps no per-worker state (its closure opens both
+    stores per batch); this guards that no store handle synced to a
+    deleted archive's metadata comes back."""
     import shutil
 
     from mapchete_xarray_ray.fixtures import make_pages
@@ -413,3 +414,32 @@ def test_pyramid_step_never_reuses_stale_worker_state(tmp_path):
     total = sum(int(z4.read_tile(r, c, bands=["count"]).max())
                 for r, c in z4.existing_tiles())
     assert total > 0
+
+
+def test_tile_passes_emit_no_empty_blocks(tmp_path):
+    """A tile pass never makes more blocks than tiles: on a 1-tile
+    archive every output block of the audit, the diff and the pyramid
+    step holds rows and the pass's schema (no zero-row pass-through
+    block keeping the work list's schema)."""
+    from mapchete_xarray_ray.collect import collect_table
+    from mapchete_xarray_ray.pipelines.audit import audit_archive_ds
+    from mapchete_xarray_ray.pipelines.commit import SUMMARY_COLUMNS
+    from mapchete_xarray_ray.pipelines.diff import archive_diff_ds
+
+    src = str(tmp_path / "one.zarr")
+    spec = default_spec(src, zoom=2)
+    # the flagship's groupby may emit zero-column blocks: not a tile pass
+    collect_table(run_pipeline(ray.data.from_arrow(make_pages(n=200)), spec))
+    assert len(ZarrTileStore(spec).existing_tiles()) == 1
+
+    key = ["tile_id", "tile_row", "tile_col"]
+    for ds, names in [
+            (audit_archive_ds(src), key + ["status"]),
+            (archive_diff_ds(src, src), key + ["changed"]),
+            (run_pyramid_step(src, str(tmp_path / "one1.zarr")),
+             list(SUMMARY_COLUMNS))]:
+        blocks = [ray.get(r) for r in arrow_block_refs(ds)]
+        assert blocks
+        for b in blocks:
+            assert b.num_rows > 0
+            assert b.column_names == names
